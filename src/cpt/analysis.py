@@ -3,7 +3,9 @@
 Each counter has a fast path and an independently implemented oracle path
 (--oracle in the CLI); both must agree exactly. Collision pairs are counted
 per image and category; anchor assignment follows the single-level grid with
-the image resized so its shorter edge hits the configured length.
+the image resized so its shorter edge hits the configured length. The
+forced-anchor fast path factors each anchor shape's overlaps over the two
+axes; its oracle is the dense IoU matrix of every box against all anchors.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import numpy as np
 from .dataset import Dataset
 from .errors import InputError
 from .geometry import AnchorConfig, anchor_grid, anchor_positions, anchor_shapes, iou, iou_matrix, resize_shorter
-from .parallel import ordered_map
 from .targets import ObjectAnnotation
 
 # COCO size convention, on box area in original-image pixels
@@ -95,9 +96,8 @@ def count_center_collisions(ds: Dataset, stride: int = 4, oracle: bool = False) 
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
 
-    def per_group(group) -> list[CollisionPair]:
-        image_id, category_id, anns = group
-        pairs = []
+    pairs: list[CollisionPair] = []
+    for image_id, category_id, anns in _groups(ds):
         if oracle:
             centers = [_quantized_center(a, stride) for a in anns]
             for i in range(len(anns)):
@@ -112,16 +112,13 @@ def count_center_collisions(ds: Dataset, stride: int = 4, oracle: bool = False) 
                 for i in range(len(ids)):
                     for j in range(i + 1, len(ids)):
                         pairs.append(CollisionPair(image_id, category_id, ids[i], ids[j]))
-        return pairs
-
-    all_pairs = [p for pairs in ordered_map(per_group, _groups(ds)) for p in pairs]
-    all_pairs.sort(key=lambda p: (p.image_id, p.category_id, p.first, p.second))
+    pairs.sort(key=lambda p: (p.image_id, p.category_id, p.first, p.second))
     return CollisionReport(
         total_objects=len(ds.annotations),
         bucket_totals=_bucket_totals(ds),
         warnings=len(ds.warnings),
-        n_center=len(all_pairs),
-        center_pairs=all_pairs,
+        n_center=len(pairs),
+        center_pairs=pairs,
     )
 
 
@@ -131,16 +128,15 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
     if not thresholds:
         raise InputError("at least one IoU threshold required")
 
-    def per_group(group) -> dict[float, list[CollisionPair]]:
-        image_id, category_id, anns = group
-        pairs: dict[float, list[CollisionPair]] = {t: [] for t in thresholds}
+    merged: dict[float, list[CollisionPair]] = {t: [] for t in thresholds}
+    for image_id, category_id, anns in _groups(ds):
         if oracle:
             for i in range(len(anns)):
                 for j in range(i + 1, len(anns)):
                     v = iou(anns[i].bbox, anns[j].bbox)
                     for t in thresholds:
                         if v > t:
-                            pairs[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
+                            merged[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
         elif len(anns) > 1:
             boxes = np.array([a.bbox for a in anns], dtype=np.float64)
             matrix = iou_matrix(boxes, boxes)
@@ -148,13 +144,7 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
                 for j in range(i + 1, len(anns)):
                     for t in thresholds:
                         if matrix[i, j] > t:
-                            pairs[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
-        return pairs
-
-    merged: dict[float, list[CollisionPair]] = {t: [] for t in thresholds}
-    for group_pairs in ordered_map(per_group, _groups(ds)):
-        for t, pairs in group_pairs.items():
-            merged[t].extend(pairs)
+                            merged[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
     for t in thresholds:
         merged[t].sort(key=lambda p: (p.image_id, p.category_id, p.first, p.second))
     return CollisionReport(
@@ -167,37 +157,34 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
 
 
 def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
-    anchors = anchor_grid(image_w, image_h, cfg)
-    if boxes.shape[0] == 0:
-        return np.zeros(0)
-    return iou_matrix(boxes, anchors).max(axis=1)
-
-
-def _max_anchor_ious_oracle(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
-    """Independent max-IoU: per anchor shape, overlaps factor over the two axes.
+    """Max IoU over all anchors: per anchor shape, overlaps factor over the two axes.
 
     Exact over all anchors (no pruning); anchor extents per axis depend only
     on that axis's grid position, so the intersection is the outer product of
-    per-axis overlap lengths.
+    per-axis overlap lengths. Corners, intersection and union use the same
+    arithmetic as iou_matrix, so the result equals the dense oracle bit for bit.
     """
     xs = anchor_positions(image_w, cfg.stride)
     ys = anchor_positions(image_h, cfg.stride)
-    out = np.zeros(boxes.shape[0])
-    for b, (bx1, by1, bx2, by2) in enumerate(boxes):
-        box_area = (bx2 - bx1) * (by2 - by1)
-        best = 0.0
-        for w, h in anchor_shapes(cfg):
-            ax1, ax2 = xs - w / 2.0, xs + w / 2.0
-            ay1, ay2 = ys - h / 2.0, ys + h / 2.0
-            ox = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
-            oy = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
-            inter = ox[None, :] * oy[:, None]
-            anchor_area = (ax2 - ax1)[None, :] * (ay2 - ay1)[:, None]
-            union = box_area + anchor_area - inter
-            ious = np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
-            best = max(best, float(ious.max()))
-        out[b] = best
-    return out
+    bx1, by1, bx2, by2 = (boxes[:, k, None] for k in range(4))
+    box_area = ((bx2 - bx1) * (by2 - by1))[:, :, None]
+    best = np.zeros(boxes.shape[0])
+    for w, h in anchor_shapes(cfg):
+        ax1, ax2 = xs - w / 2.0, xs + w / 2.0
+        ay1, ay2 = ys - h / 2.0, ys + h / 2.0
+        ox = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
+        oy = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
+        inter = ox[:, None, :] * oy[:, :, None]
+        anchor_area = (ax2 - ax1)[None, :] * (ay2 - ay1)[:, None]
+        union = box_area + anchor_area - inter
+        ious = np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
+        best = np.maximum(best, ious.max(axis=(1, 2)))
+    return best
+
+
+def _max_anchor_ious_oracle(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
+    """Dense max-IoU: the IoU matrix of boxes against every anchor of the grid."""
+    return iou_matrix(boxes, anchor_grid(image_w, image_h, cfg)).max(axis=1)
 
 
 def count_forced_assignments(
@@ -213,17 +200,17 @@ def count_forced_assignments(
     if not 0 < iou_thresh < 1:
         raise InputError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
     by_image = ds.annotations_by_image()
-
-    def per_image(img) -> list[int]:
+    forced_ids = []
+    max_anchor_ious = _max_anchor_ious_oracle if oracle else _max_anchor_ious_fast
+    for img in ds.images:
         anns = by_image[img.id]
         if not anns:
-            return []
+            continue
         w, h, scale = resize_shorter(img.width, img.height, cfg.resize_shorter)
         boxes = np.array([a.bbox for a in anns], dtype=np.float64) * scale
-        max_ious = (_max_anchor_ious_oracle if oracle else _max_anchor_ious_fast)(boxes, w, h, cfg)
-        return [anns[i].id for i in range(len(anns)) if max_ious[i] < iou_thresh]
-
-    forced_ids = sorted(i for ids in ordered_map(per_image, ds.images) for i in ids)
+        max_ious = max_anchor_ious(boxes, w, h, cfg)
+        forced_ids.extend(anns[i].id for i in range(len(anns)) if max_ious[i] < iou_thresh)
+    forced_ids.sort()
     forced_set = set(forced_ids)
     buckets = {}
     totals = _bucket_totals(ds)

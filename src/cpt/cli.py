@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, losses
-from .dataset import Dataset, load_dataset
+from .dataset import Dataset, finite_numbers, load_dataset, require_field
 from .decode import Detection, decode_boxes, decode_pose, to_input_space
 from .errors import InputError, InternalError
 from .evaluate import evaluate_detections
@@ -418,20 +418,21 @@ def _read_jsonl(path) -> list[dict]:
 
 
 def _det_from_json(raw: dict, n: int) -> tuple[int, Detection, dict]:
-    for key in ("category", "score", "box"):
-        if key not in raw:
-            raise InputError(f"detections line {n}: missing field {key!r}")
-    box = raw["box"]
-    if not (isinstance(box, list) and len(box) == 4):
-        raise InputError(f"detections line {n}: box must be [x1, y1, x2, y2]")
+    where = f"detections line {n}"
+    category = require_field(raw, "category", int, where)
+    score = require_field(raw, "score", float, where)
+    box = require_field(raw, "box", list, where)
+    if len(box) != 4:
+        raise InputError(f"{where}: box must be [x1, y1, x2, y2]")
+    center = require_field(raw, "center", list, where) if "center" in raw else [0.0, 0.0]
     det = Detection(
-        category=int(raw["category"]),
-        score=float(raw["score"]),
-        box=tuple(float(v) for v in box),
-        center=tuple(raw.get("center", (0.0, 0.0))),
+        category=category,
+        score=score,
+        box=tuple(finite_numbers(box, where, "box entry")),
+        center=tuple(finite_numbers(center, where, "center entry")),
         units=raw.get("units", "pixels"),
     )
-    return int(raw.get("image_id", 0)), det, raw
+    return require_field(raw, "image_id", int, where) if "image_id" in raw else 0, det, raw
 
 
 def _cmd_nms(args) -> int:
@@ -600,7 +601,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ratios", default="0.5,1,2")
     p.add_argument("--anchor-stride", type=int, default=16)
     p.add_argument("--resize-shorter", type=float, default=800.0)
-    p.add_argument("--oracle", action="store_true", help="force the separable brute-force path")
+    p.add_argument("--oracle", action="store_true", help="force the dense all-anchors IoU path")
     p.set_defaults(func=_cmd_anchors)
 
     p = sub.add_parser("nms", help="greedy IoU suppression over JSON-lines detections")

@@ -8,6 +8,7 @@ ascending id order. See docs/formats.md for the full schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,14 +56,30 @@ class Dataset:
         return out
 
 
-def _require(mapping: dict, key: str, kind, where: str):
+def finite_numbers(values: list, where: str, what: str) -> list[float]:
+    """JSON numbers as floats; a non-number (bools included) or a non-finite value is an InputError."""
+    numbers = []
+    for value in values:
+        if type(value) not in (int, float):
+            raise InputError(f"{where}: {what} must be a number, got {type(value).__name__}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise InputError(f"{where}: {what} must be finite, got {value}")
+        numbers.append(number)
+    return numbers
+
+
+def require_field(mapping: dict, key: str, kind, where: str):
+    if not isinstance(mapping, dict):
+        raise InputError(f"{where}: must be an object, got {type(mapping).__name__}")
     if key not in mapping:
         raise InputError(f"{where}: missing field {key!r}")
     value = mapping[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InputError(f"{where}: field {key!r} must be a number, got {type(value).__name__}")
-        return float(value)
+        return finite_numbers([value], where, f"field {key!r}")[0]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InputError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
@@ -71,13 +88,8 @@ def _require(mapping: dict, key: str, kind, where: str):
 def _parse_keypoints(raw, where: str) -> list[tuple[float, float, bool]]:
     if not isinstance(raw, list) or len(raw) % 3 != 0:
         raise InputError(f"{where}: keypoints must be a flat [x, y, v, ...] list with length divisible by 3")
-    pts = []
-    for j in range(0, len(raw), 3):
-        x, y, v = raw[j : j + 3]
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in (x, y, v)):
-            raise InputError(f"{where}: keypoints entries must be numbers")
-        pts.append((float(x), float(y), v > 0))
-    return pts
+    values = finite_numbers(raw, where, "keypoints entry")
+    return [(values[j], values[j + 1], values[j + 2] > 0) for j in range(0, len(values), 3)]
 
 
 def load_dataset(path) -> Dataset:
@@ -103,8 +115,8 @@ def load_dataset(path) -> Dataset:
     cats = []
     for i, raw in enumerate(doc["categories"]):
         where = f"categories[{i}]"
-        cid = _require(raw, "id", int, where)
-        name = _require(raw, "name", str, where)
+        cid = require_field(raw, "id", int, where)
+        name = require_field(raw, "name", str, where)
         if cid in seen_cat:
             raise InputError(f"{where}: duplicate category id {cid}")
         seen_cat.add(cid)
@@ -116,9 +128,9 @@ def load_dataset(path) -> Dataset:
     seen_img: set[int] = set()
     for i, raw in enumerate(doc["images"]):
         where = f"images[{i}]"
-        iid = _require(raw, "id", int, where)
-        w = _require(raw, "width", float, where)
-        h = _require(raw, "height", float, where)
+        iid = require_field(raw, "id", int, where)
+        w = require_field(raw, "width", float, where)
+        h = require_field(raw, "height", float, where)
         if iid in seen_img:
             raise InputError(f"{where}: duplicate image id {iid}")
         if w <= 0 or h <= 0:
@@ -132,9 +144,9 @@ def load_dataset(path) -> Dataset:
     anns = []
     for i, raw in enumerate(doc["annotations"]):
         where = f"annotations[{i}]"
-        aid = _require(raw, "id", int, where)
-        img_id = _require(raw, "image_id", int, where)
-        cat_id = _require(raw, "category_id", int, where)
+        aid = require_field(raw, "id", int, where)
+        img_id = require_field(raw, "image_id", int, where)
+        cat_id = require_field(raw, "category_id", int, where)
         bbox = raw.get("bbox")
         if aid in seen_ann:
             raise InputError(f"{where}: duplicate annotation id {aid}")
@@ -145,7 +157,7 @@ def load_dataset(path) -> Dataset:
             raise InputError(f"{where}: category_id {cat_id} does not exist")
         if not (isinstance(bbox, list) and len(bbox) == 4):
             raise InputError(f"{where}: field 'bbox' must be [x, y, w, h]")
-        x, y, w, h = (float(v) for v in bbox)
+        x, y, w, h = finite_numbers(bbox, where, "bbox entry")
         if w < 0 or h < 0:
             raise InputError(f"{where}: bbox width/height must be >= 0, got ({w}, {h})")
 
@@ -159,16 +171,16 @@ def load_dataset(path) -> Dataset:
             ds.warnings.append(f"{where}: bbox {bbox} exceeds image {img_id} bounds; clamped")
 
         keypoints = _parse_keypoints(raw["keypoints"], where) if "keypoints" in raw else None
-        depth = _require(raw, "depth", float, where) if "depth" in raw else None
+        depth = require_field(raw, "depth", float, where) if "depth" in raw else None
         dims3d = None
         if "dims3d" in raw:
             v = raw["dims3d"]
             if not (isinstance(v, list) and len(v) == 3):
                 raise InputError(f"{where}: field 'dims3d' must be [h, w, l]")
-            dims3d = tuple(float(t) for t in v)
+            dims3d = tuple(finite_numbers(v, where, "dims3d entry"))
         yaw = None
         if "yaw" in raw:
-            yaw = principal_angle(_require(raw, "yaw", float, where))
+            yaw = principal_angle(require_field(raw, "yaw", float, where))
 
         try:
             ann = ObjectAnnotation(

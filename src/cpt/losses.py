@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .grid import DenseGrid
+from .synthetic import distinct_cells, generator
 from .targets import JointCell, ObjectTarget, TargetSet, encode_orientation
 
 L1_HEADS = ("offset", "size", "joint_offset")
@@ -363,22 +364,13 @@ def gradcheck(
     return GradcheckReport(max_rel_error=max_rel, checked=checked, excluded=int(skip.sum()))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 def _record(cell, offset=(0.0, 0.0), size=(0.0, 0.0)) -> ObjectTarget:
     return ObjectTarget(index=0, category=0, cell=cell, offset=offset, size=size)
 
 
-def _distinct_cells(rng: np.random.Generator, count: int, w: int, h: int) -> list[tuple[int, int]]:
-    flat = rng.choice(w * h, size=count, replace=False)
-    return [(int(f % w), int(f // w)) for f in flat]
-
-
 def gradcheck_focal(seed: int, step: float = 1e-6, shape: tuple[int, int, int] = (2, 8, 8)) -> GradcheckReport:
     """Focal loss FD check on a random heatmap pair away from the clamp edges."""
-    rng = _rng(seed)
+    rng = generator(seed)
     params = FocalParams()
     y = rng.uniform(0.0, 0.6, size=shape)
     c, h, w = shape
@@ -396,12 +388,12 @@ def gradcheck_focal(seed: int, step: float = 1e-6, shape: tuple[int, int, int] =
 
 
 def _gradcheck_l1_head(seed: int, step: float, head: str, low: float, high: float) -> GradcheckReport:
-    rng = _rng(seed)
+    rng = generator(seed)
     shape = (2, 8, 8)
     x0 = rng.uniform(low - 1.0, high + 1.0, size=shape)
     objects = []
     exclude = np.zeros(shape, dtype=bool)
-    for cell in _distinct_cells(rng, 5, 8, 8):
+    for cell in distinct_cells(rng, 5, 8, 8):
         tgt = rng.uniform(low, high, size=2)
         kw = {head: tuple(tgt)}
         objects.append(_record(cell, **{"offset": (0.0, 0.0), "size": (0.0, 0.0), **kw}))
@@ -427,7 +419,7 @@ def gradcheck_size(seed: int, step: float = 1e-6) -> GradcheckReport:
 
 def gradcheck_depth(seed: int, step: float = 1e-6) -> GradcheckReport:
     """Depth loss FD check through the sigmoidal transform, away from kinks."""
-    rng = _rng(seed)
+    rng = generator(seed)
     x0 = rng.uniform(-2.5, 2.5, size=8)
     depths = rng.uniform(0.3, 30.0, size=8)
     decoded = np.exp(-x0)
@@ -441,7 +433,7 @@ def gradcheck_depth(seed: int, step: float = 1e-6) -> GradcheckReport:
 
 def gradcheck_dims(seed: int, step: float = 1e-6) -> GradcheckReport:
     """Dimension loss FD check away from kinks."""
-    rng = _rng(seed)
+    rng = generator(seed)
     x0 = rng.uniform(0.2, 6.0, size=(6, 3))
     dims = rng.uniform(0.2, 6.0, size=(6, 3))
     exclude = np.abs(x0 - dims) < 10 * step
@@ -454,7 +446,7 @@ def gradcheck_dims(seed: int, step: float = 1e-6) -> GradcheckReport:
 
 def gradcheck_orientation(seed: int, step: float = 1e-6) -> GradcheckReport:
     """Orientation loss FD check away from L1 kinks and softmax ties."""
-    rng = _rng(seed)
+    rng = generator(seed)
     n = 6
     x0 = np.zeros((n, 8))
     x0[:, [0, 1, 4, 5]] = rng.uniform(-3.0, 3.0, size=(n, 4))

@@ -25,7 +25,8 @@ def _categories(num_classes: int) -> list[CategoryInfo]:
     return [CategoryInfo(id=k + 1, name=f"class_{k + 1}", index=k) for k in range(num_classes)]
 
 
-def _distinct_cells(rng: np.random.Generator, count: int, gw: int, gh: int) -> list[tuple[int, int]]:
+def distinct_cells(rng: np.random.Generator, count: int, gw: int, gh: int) -> list[tuple[int, int]]:
+    """`count` distinct (x, y) cells of a gw x gh grid, drawn without replacement."""
     flat = rng.choice(gw * gh, size=count, replace=False)
     return [(int(f % gw), int(f // gw)) for f in flat]
 
@@ -54,7 +55,7 @@ def make_dataset(
     for image_id in range(1, num_images + 1):
         ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
         count = int(rng.integers(1, max_objects + 1))
-        for cx, cy in _distinct_cells(rng, count, gw, gh):
+        for cx, cy in distinct_cells(rng, count, gw, gh):
             px = (cx + rng.uniform(0.05, 0.95)) * stride
             py = (cy + rng.uniform(0.05, 0.95)) * stride
             hw = rng.uniform(0.3, 0.98) * min(px, image_w - px)
@@ -100,7 +101,7 @@ def make_sparse_dataset(
     for image_id in range(1, num_images + 1):
         ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
         count = int(rng.integers(1, max_objects + 1))
-        for sx, sy in _distinct_cells(rng, count, gw, gh):
+        for sx, sy in distinct_cells(rng, count, gw, gh):
             cx, cy = sx * spacing + spacing // 2, sy * spacing + spacing // 2
             px = (cx + rng.uniform(0.05, 0.95)) * stride
             py = (cy + rng.uniform(0.05, 0.95)) * stride
@@ -143,7 +144,7 @@ def make_overlap_dataset(
     for image_id in range(1, num_images + 1):
         ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
         count = int(rng.integers(1, pairs_per_image + 1))
-        for sx, sy in _distinct_cells(rng, count, gw, gh):
+        for sx, sy in distinct_cells(rng, count, gw, gh):
             cx, cy = sx * spacing + spacing // 2, sy * spacing + spacing // 2
             category = int(rng.integers(0, num_classes))
             px = (cx + rng.uniform(0.3, 0.7)) * stride

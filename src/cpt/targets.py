@@ -210,6 +210,12 @@ def encode_depth(depth: float) -> float:
     return -math.log(depth)
 
 
+def _object_sigma(ann: ObjectAnnotation, cfg: EncoderConfig) -> float:
+    """Gaussian radius sigma of an object's heatmap peak, from its box in output cells."""
+    r = cfg.output_stride
+    return gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
+
+
 def _center_cell(ann: ObjectAnnotation, cfg: EncoderConfig) -> tuple[int, int, float, float, bool]:
     r = cfg.output_stride
     px, py = ann.center
@@ -249,7 +255,7 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
         if clamped:
             ts.clamped_centers += 1
 
-        sigma = gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
+        sigma = _object_sigma(ann, cfg)
         ts.heatmap = render_gaussian(ts.heatmap, (float(cx), float(cy)), ann.category, sigma)
 
         sw, sh = (ann.width, ann.height) if cfg.size_units == "pixels" else (ann.width / r, ann.height / r)
@@ -304,7 +310,7 @@ def encode_pose(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> Targ
         cx, cy = tgt.cell
         offs = np.zeros((k, 2), dtype=np.float64)
         mask = np.zeros(k, dtype=np.float64)
-        sigma = gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
+        sigma = _object_sigma(ann, cfg)
         for j, (jx, jy, visible) in enumerate(ann.keypoints):
             if not visible:
                 continue

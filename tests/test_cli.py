@@ -2,10 +2,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpt
 from cpt import read_grid
 from cpt.cli import run
 from cpt.dataset import dataset_to_json
@@ -68,6 +70,7 @@ def test_anchors_report(small_dataset, capsys):
     report = json.loads(out)
     assert set(report["buckets"]) == {"small", "medium", "large"}
     assert report["n_anchor"] == len(report["forced_annotations"])
+    assert run_ok(capsys, ["anchors", str(path)]) == out
 
 
 def test_encode_decode_roundtrip_via_files(small_dataset, tmp_path, capsys):
@@ -197,6 +200,40 @@ def test_nms_and_eval_pipeline(small_dataset, tmp_path, capsys):
     assert report["num_gt"] == len(ds.annotations)
 
 
+def test_roundtrip_non_finite_bbox_exit_1(tmp_path, capsys):
+    doc = {
+        "images": [{"id": 1, "width": 64, "height": 64}],
+        "categories": [{"id": 1, "name": "a"}],
+        "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [float("nan"), 4, 8, 8]}],
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["roundtrip", str(path)]) == 1
+    assert "bbox entry must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "nms"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"category": "x"}, "field 'category' must be int"),
+        ({"category": 1.5}, "field 'category' must be int"),
+        ({"image_id": "1"}, "field 'image_id' must be int"),
+        ({"score": float("nan")}, "field 'score' must be finite"),
+        ({"box": [0, 0, float("inf"), 4]}, "box entry must be finite"),
+        ({"center": 5}, "field 'center' must be list"),
+    ],
+)
+def test_bad_detection_line_exit_1(small_dataset, tmp_path, capsys, command, bad, message):
+    _, path = small_dataset
+    good = {"image_id": 1, "category": 0, "score": 0.9, "box": [0, 0, 4, 4], "units": "pixels"}
+    dets_path = tmp_path / "dets.jsonl"
+    dets_path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n", encoding="utf-8")
+    argv = ["eval", str(dets_path), str(path)] if command == "eval" else ["nms", str(dets_path)]
+    assert run(argv) == 1
+    assert f"detections line 2: {message}" in capsys.readouterr().err
+
+
 def test_eval_accepts_cell_units(small_dataset, tmp_path, capsys):
     ds, path = small_dataset
     lines = [
@@ -273,6 +310,7 @@ def test_console_entry_point(small_dataset):
     _, path = small_dataset
     proc = subprocess.run(
         [sys.executable, "-m", "cpt.cli", "collisions", str(path)],
+        cwd=Path(cpt.__file__).parents[1],  # `-m` finds the package under test without an install
         capture_output=True,
         text=True,
     )

@@ -148,6 +148,37 @@ def test_roundtrip_serialization(tmp_path):
     assert again.annotations[0].depth == 3.0
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bbox", [float("nan"), 4, 8, 8], "bbox entry must be finite"),
+        ("bbox", [0, 0, float("inf"), 4], "bbox entry must be finite"),
+        ("bbox", ["x", 0, 4, 4], "bbox entry must be a number"),
+        ("dims3d", ["a", 1, 1], "dims3d entry must be a number"),
+        ("dims3d", [1, float("nan"), 1], "dims3d entry must be finite"),
+        ("keypoints", [1, float("nan"), 2], "keypoints entry must be finite"),
+        ("depth", float("inf"), "field 'depth' must be finite"),
+        ("depth", 10**400, "field 'depth' must be finite"),
+    ],
+)
+def test_non_numbers_and_non_finite_numbers_rejected(tmp_path, field, value, message):
+    doc = minimal()
+    doc["annotations"][0][field] = value
+    with pytest.raises(InputError, match=rf"annotations\[0\]: {message}"):
+        load_dataset(write(tmp_path, doc))
+
+
+def test_non_finite_image_size_rejected(tmp_path):
+    doc = minimal(images=[{"id": 1, "width": float("nan"), "height": 48}])
+    with pytest.raises(InputError, match="'width' must be finite"):
+        load_dataset(write(tmp_path, doc))
+
+
+def test_non_object_entry_rejected(tmp_path):
+    with pytest.raises(InputError, match=r"images\[0\]: must be an object"):
+        load_dataset(write(tmp_path, minimal(images=[1])))
+
+
 def test_missing_file():
     with pytest.raises(InputError, match="cannot read"):
         load_dataset("/nonexistent/ds.json")
