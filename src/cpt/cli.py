@@ -633,6 +633,7 @@ def _build_parser() -> _Parser:
 def run(argv) -> int:
     """Dispatch a command line; returns the process exit status."""
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
@@ -646,6 +647,10 @@ def run(argv) -> int:
         return 1
     except InternalError as e:
         sys.stderr.write(f"internal error: {e}\n")
+        return 2
+    except Exception as e:  # last resort: no raw traceback escapes the CLI
+        command = getattr(args, "command", None) or "cpt"
+        sys.stderr.write(f"internal error: {command}: {type(e).__name__}: {e}\n")
         return 2
 
 

@@ -142,15 +142,45 @@ def gaussian_sigma(box_w: float, box_h: float, min_overlap: float = 0.7) -> floa
 
 
 def max_pool_3x3(grid: DenseGrid) -> DenseGrid:
-    """Per-channel 3x3 max pool with the neighborhood clipped at grid borders."""
+    """Per-channel 3x3 max pool with the neighborhood clipped at grid borders.
+
+    Separable: a 3-max along each row, then a 3-max along each column of
+    that. NaN propagates to every cell whose neighborhood holds one.
+    """
     d = grid.data
-    padded = np.pad(d, ((0, 0), (1, 1), (1, 1)), mode="constant", constant_values=-np.inf)
-    out = np.full_like(d, -np.inf)
-    h, w = d.shape[1], d.shape[2]
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            np.maximum(out, padded[:, dy : dy + h, dx : dx + w], out=out)
+    rows = d.copy()
+    np.maximum(rows[:, :, 1:], d[:, :, :-1], out=rows[:, :, 1:])
+    np.maximum(rows[:, :, :-1], d[:, :, 1:], out=rows[:, :, :-1])
+    out = rows.copy()
+    np.maximum(out[:, 1:, :], rows[:, :-1, :], out=out[:, 1:, :])
+    np.maximum(out[:, :-1, :], rows[:, 1:, :], out=out[:, :-1, :])
     return DenseGrid(out)
+
+
+def _top_peak_indices(data: np.ndarray, mask: np.ndarray, top_k: int) -> np.ndarray:
+    """Flat indices of the top_k peaks of a (C, H, W) block, by (-score, flat index).
+
+    C-order flat index order is (channel, y, x) order. Only the peaks above
+    the k-th largest row maximum v are sorted; they lie in fewer than top_k
+    rows. The rest are peaks equal to v, taken in flat order.
+    """
+    scores = np.where(mask, data, -np.inf)
+    row_max = scores.max(axis=2).ravel()
+    if row_max.size < top_k:
+        v = -np.inf
+    else:
+        v = np.partition(row_max, row_max.size - top_k)[row_max.size - top_k]
+    above = np.flatnonzero(scores > v)
+    taken = [above[np.argsort(-scores.ravel()[above], kind="stable")][:top_k]]
+    need = top_k - taken[0].size
+    plane = data.shape[1] * data.shape[2]
+    for c in range(data.shape[0]):
+        if need <= 0:
+            break
+        equal = np.flatnonzero(mask[c] & (data[c] == v))[:need]
+        taken.append(equal + c * plane)
+        need -= equal.size
+    return np.concatenate(taken)
 
 
 def extract_peaks(grid: DenseGrid, top_k: int, per_channel: bool = False) -> list[Peak]:
@@ -159,24 +189,25 @@ def extract_peaks(grid: DenseGrid, top_k: int, per_channel: bool = False) -> lis
     Ties break by (channel, y, x) ascending. The cap is applied jointly
     across channels by default (detection decoding) or per channel when
     per_channel is set (joint candidates). Plateaus qualify under the >=
-    comparison and are kept, subject to the cap.
+    comparison and are kept, subject to the cap. NaN cells, and cells next
+    to one, are never peaks.
+
+    Cost: a few passes over the grid plus sorting the peaks of at most
+    top_k rows (per channel when per_channel is set).
     """
     if top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}")
-    pooled = max_pool_3x3(grid)
-    cs, ys, xs = np.nonzero(grid.data == pooled.data)
-    scores = grid.data[cs, ys, xs].astype(np.float64)
-    order = np.lexsort((xs, ys, cs, -scores))
-
-    peaks: list[Peak] = []
-    taken_per_channel = np.zeros(grid.channels, dtype=np.int64)
-    for i in order:
-        c = int(cs[i])
-        if per_channel:
-            if taken_per_channel[c] >= top_k:
-                continue
-        elif len(peaks) >= top_k:
-            break
-        taken_per_channel[c] += 1
-        peaks.append(Peak(int(xs[i]), int(ys[i]), c, float(scores[i])))
-    return peaks
+    data = grid.data
+    mask = data == max_pool_3x3(grid).data
+    if per_channel:
+        plane = data.shape[1] * data.shape[2]
+        idx = np.concatenate(
+            [_top_peak_indices(data[c : c + 1], mask[c : c + 1], top_k) + c * plane for c in range(data.shape[0])]
+        )
+        # channel blocks are concatenated in channel order, so a stable sort keeps flat order on ties
+        idx = idx[np.argsort(-data.ravel()[idx], kind="stable")]
+    else:
+        idx = _top_peak_indices(data, mask, top_k)
+    scores = data.ravel()[idx].astype(np.float64).tolist()
+    cs, ys, xs = (a.tolist() for a in np.unravel_index(idx, data.shape))
+    return [Peak(x, y, c, s) for x, y, c, s in zip(xs, ys, cs, scores)]

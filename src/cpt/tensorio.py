@@ -49,7 +49,11 @@ def write_grid(path, grid: DenseGrid, dtype: str | None = None) -> None:
 
 
 def read_grid(path) -> DenseGrid:
-    """Read a tensor file back into a grid, preserving the stored precision."""
+    """Read a tensor file back into a grid, preserving the stored precision.
+
+    Every value must be finite: a NaN cell would silently hide the peaks
+    around it from decoding.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -82,4 +86,6 @@ def read_grid(path) -> DenseGrid:
     if len(blob) != expected:
         raise InputError(f"{path}: payload size mismatch (expected {expected} bytes, file has {len(blob)})")
     data = np.frombuffer(blob, dtype=dtype, count=count, offset=header_end)
+    if not np.isfinite(data).all():
+        raise InputError(f"{path}: tensor holds NaN or infinite values")
     return DenseGrid(data.reshape(dims[0], dims[1], dims[2]).copy())

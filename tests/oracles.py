@@ -72,6 +72,28 @@ def eight_neighbor_peak_mask(data: np.ndarray) -> np.ndarray:
     return mask
 
 
+def reference_peaks(data: np.ndarray, k: int, per_channel: bool = False) -> list[tuple[int, int, int, float]]:
+    """(x, y, channel, score) of the 8-neighbor peaks by (-score, channel, y, x), capped at k.
+
+    The cap is joint, or per channel when per_channel is set.
+    """
+    mask = eight_neighbor_peak_mask(data)
+    c, h, w = data.shape
+    cells = [(ch, y, x) for ch in range(c) for y in range(h) for x in range(w) if mask[ch, y, x]]
+    cells.sort(key=lambda cell: (-float(data[cell]), cell))
+    peaks: list[tuple[int, int, int, float]] = []
+    taken = [0] * c
+    for ch, y, x in cells:
+        if per_channel:
+            if taken[ch] == k:
+                continue
+        elif len(peaks) == k:
+            break
+        taken[ch] += 1
+        peaks.append((x, y, ch, float(data[ch, y, x])))
+    return peaks
+
+
 def naive_iou(a, b) -> float:
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b

@@ -212,6 +212,41 @@ def test_roundtrip_non_finite_bbox_exit_1(tmp_path, capsys):
     assert "bbox entry must be finite" in capsys.readouterr().err
 
 
+def test_decode_non_finite_heatmap_exit_1(tmp_path, capsys):
+    hm = np.zeros((1, 8, 8))
+    hm[0, 3, 3] = 0.9
+    hm[0, 4, 3] = float("nan")
+    paths = {}
+    for name, data in (("heatmap", hm), ("offset", np.zeros((2, 8, 8))), ("size", np.ones((2, 8, 8)))):
+        paths[name] = tmp_path / f"{name}.cpt"
+        cpt.write_grid(paths[name], cpt.DenseGrid(data))
+    argv = ["decode", "--heatmap", str(paths["heatmap"]), "--offset", str(paths["offset"]), "--size", str(paths["size"])]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {paths['heatmap']}: tensor holds NaN or infinite values" in captured.err
+
+
+def test_unexpected_exception_is_internal_error(small_dataset, monkeypatch, capsys):
+    _, path = small_dataset
+
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("cpt.cli._cmd_collisions", broken)
+    assert run(["collisions", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: collisions: ValueError: boom\n"
+    assert "Traceback" not in captured.err
+
+
+def test_help_exits_through_system_exit(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["--help"])
+    assert info.value.code == 0
+    assert "usage" in capsys.readouterr().out.lower()
+
+
 @pytest.mark.parametrize("command", ["eval", "nms"])
 @pytest.mark.parametrize(
     "bad, message",

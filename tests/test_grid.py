@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cpt import DenseGrid, InputError, extract_peaks, gaussian_radius, gaussian_sigma, max_pool_3x3, render_gaussian
 
-from oracles import eight_neighbor_peak_mask, naive_max_pool_3x3, search_displacement_radius
+from oracles import eight_neighbor_peak_mask, naive_max_pool_3x3, reference_peaks, search_displacement_radius
 
 
 def rng(seed=0):
@@ -151,8 +151,15 @@ class TestMaxPool:
         assert np.array_equal(pooled.data, expected)
 
     def test_matches_naive_oracle(self):
-        data = rng(7).uniform(-1, 1, size=(2, 16, 16))
-        assert np.array_equal(max_pool_3x3(DenseGrid(data)).data, naive_max_pool_3x3(data))
+        r = rng(7)
+        # single rows and columns are where the separable passes clip differently
+        for shape in [(2, 16, 16), (2, 1, 9), (2, 9, 1), (1, 1, 1), (1, 2, 1), (3, 5, 6)]:
+            for with_inf in (False, True):
+                data = r.uniform(-1, 1, size=shape)
+                if with_inf:
+                    data[r.uniform(size=shape) < 0.3] = np.inf
+                    data[r.uniform(size=shape) < 0.3] = -np.inf
+                assert np.array_equal(max_pool_3x3(DenseGrid(data)).data, naive_max_pool_3x3(data)), (shape, with_inf)
 
     def test_monotone_and_expansive(self):
         r = rng(13)
@@ -222,3 +229,40 @@ class TestExtractPeaks:
         want_mask = eight_neighbor_peak_mask(data)
         want = {(int(x), int(y), int(c)) for c, y, x in zip(*np.nonzero(want_mask))}
         assert got == want
+
+
+# cell values with many ties, so that the k-th score is often shared
+TIED_VALUES = [0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def peak_grids(draw):
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = st.sampled_from(TIED_VALUES) | st.floats(0, 1, width=32)
+    data = np.array(draw(st.lists(values, min_size=c * h * w, max_size=c * h * w)), dtype=np.float64)
+    return data.reshape(c, h, w).astype(draw(st.sampled_from([np.float64, np.float32])))
+
+
+class TestPeakOrder:
+    """Full ordered peak lists, with the cap below, at and above the peak count."""
+
+    @given(data=peak_grids(), per_channel=st.booleans(), k_shift=st.sampled_from([-3, -1, 0, 1, 5]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, data, per_channel, k_shift):
+        mask = eight_neighbor_peak_mask(data)
+        count = int(mask.sum(axis=(1, 2)).max()) if per_channel else int(mask.sum())
+        k = max(count + k_shift, 1)
+        got = [tuple(p) for p in extract_peaks(DenseGrid(data), k, per_channel=per_channel)]
+        assert got == reference_peaks(data, k, per_channel)
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9, 40])
+    def test_ties_at_the_cut(self, per_channel, k):
+        # rows hold several equal peaks, so the k-th score is shared across rows and channels
+        data = np.zeros((2, 6, 6))
+        data[0, 1, ::2] = 0.5
+        data[0, 4, ::2] = 0.9
+        data[1, 1, ::2] = 0.9
+        data[1, 3, 1] = 0.5
+        got = [tuple(p) for p in extract_peaks(DenseGrid(data), k, per_channel=per_channel)]
+        assert got == reference_peaks(data, k, per_channel)

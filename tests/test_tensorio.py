@@ -86,3 +86,15 @@ def test_bad_dims(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
     with pytest.raises(InputError, match="bad dims"):
         read_grid(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_non_finite_payload_rejected(tmp_path, bad, dtype):
+    data = np.zeros((2, 3, 3))
+    data[1, 2, 0] = bad
+    path = tmp_path / "t.cpt"
+    write_grid(path, DenseGrid(data), dtype=dtype)
+    with pytest.raises(InputError, match="NaN or infinite") as info:
+        read_grid(path)
+    assert str(path) in str(info.value)
