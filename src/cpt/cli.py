@@ -405,7 +405,10 @@ def _cmd_anchors(args) -> int:
 # ---------------------------------------------------------------- nms / eval / roundtrip
 
 def _read_jsonl(path) -> list[dict]:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read detections {path}: {e}") from e
     records = []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -414,6 +417,8 @@ def _read_jsonl(path) -> list[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as e:
             raise InputError(f"detections line {n}: {e.msg}") from e
+        except (ValueError, RecursionError) as e:  # an overlong int, deep nesting
+            raise InputError(f"detections line {n}: {e}") from e
     return records
 
 

@@ -97,12 +97,14 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read dataset {path}: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: JSON parse error at line {e.lineno}, column {e.colno} (offset {e.pos}): {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # an overlong int, deep nesting
+        raise InputError(f"{path}: cannot parse JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top-level value must be an object")
     for key in ("images", "annotations", "categories"):

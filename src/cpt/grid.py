@@ -1,6 +1,8 @@
 """Dense multi-channel grids: Gaussian splatting, max pooling, peak extraction.
 
-All functions are pure: inputs are never mutated, results are fresh grids.
+All functions are pure except render_gaussian, which splats into the grid it
+is given and returns that same grid; the others never mutate their inputs
+and return fresh grids.
 Grid data is stored as a numpy array of shape (channels, height, width),
 row-major with the channel axis outermost.
 """
@@ -19,7 +21,7 @@ MIN_RADIUS = 1e-6
 
 
 class DenseGrid:
-    """Multi-channel 2D float grid with value semantics.
+    """Multi-channel 2D float grid.
 
     Wraps an ndarray of shape (channels, height, width). Tests run at 64-bit;
     32-bit data is accepted for production paths and preserved by all ops.
@@ -76,16 +78,17 @@ class Peak(NamedTuple):
 def render_gaussian(grid: DenseGrid, center: tuple[float, float], channel: int, sigma: float) -> DenseGrid:
     """Splat exp(-((x-px)^2+(y-py)^2)/(2 sigma^2)) onto one channel, combining by max.
 
-    The kernel is evaluated on a window of radius ceil(3*sigma) around the
-    center; beyond that the kernel is below 1.2e-4 and is dropped. The center
-    may lie outside the grid; only the overlapping part is written.
+    In place: the window is written into grid.data and grid itself is
+    returned, so a splat costs its window, not a copy of the grid. The kernel
+    is evaluated on a window of radius ceil(3*sigma) around the center;
+    beyond that the kernel is below 1.2e-4 and is dropped. The center may lie
+    outside the grid; only the overlapping part is written.
     """
     if not 0 <= channel < grid.channels:
         raise InputError(f"channel {channel} out of range [0, {grid.channels})")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise InputError(f"sigma must be positive and finite, got {sigma}")
 
-    out = grid.copy()
     px, py = float(center[0]), float(center[1])
     radius = int(math.ceil(3.0 * sigma))
     x0 = max(int(math.ceil(px - radius)), 0)
@@ -93,14 +96,14 @@ def render_gaussian(grid: DenseGrid, center: tuple[float, float], channel: int, 
     y0 = max(int(math.ceil(py - radius)), 0)
     y1 = min(int(math.floor(py + radius)), grid.height - 1)
     if x0 > x1 or y0 > y1:
-        return out
+        return grid
 
     xs = np.arange(x0, x1 + 1, dtype=np.float64) - px
     ys = np.arange(y0, y1 + 1, dtype=np.float64) - py
     kernel = np.exp(-(xs[None, :] ** 2 + ys[:, None] ** 2) / (2.0 * sigma * sigma))
-    region = out.data[channel, y0 : y1 + 1, x0 : x1 + 1]
+    region = grid.data[channel, y0 : y1 + 1, x0 : x1 + 1]
     np.maximum(region, kernel, out=region)
-    return out
+    return grid
 
 
 def gaussian_radius(box_w: float, box_h: float, min_overlap: float = 0.7) -> float:

@@ -78,33 +78,55 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     by the positive-cell count (1 when there are none). The gradient is taken
     through the clamp: zero where the raw prediction sits in a clamped-flat
     region.
+
+    Cost: a fixed number of float64 passes over the grid, plus work
+    proportional to the nonzero target cells. Where the target is 0 the
+    penalty (1 - 0)^beta is exactly 1, so it is applied only on the target's
+    support, and the positive branch only at the positive cells.
     """
     if pred.data.shape != target.data.shape:
         raise InputError(f"shape mismatch: pred {pred.data.shape} vs target {target.data.shape}")
-    y = target.data.astype(np.float64, copy=False)
-    if y.min() < 0.0 or y.max() > 1.0:
+    y = target.data.astype(np.float64, copy=False).ravel()
+    if not (y.min() >= 0.0 and y.max() <= 1.0):
         raise InputError("target heatmap values must lie in [0, 1]")
-    raw = pred.data.astype(np.float64, copy=False)
+    raw = pred.data.ravel()
     a, b, eps = params.alpha, params.beta, params.eps
 
-    yhat = np.clip(raw, eps, 1.0 - eps)
-    pos = y == 1.0
-    n = max(int(pos.sum()), 1)
+    sup = np.flatnonzero(y != 0.0)
+    ys = y[sup]
+    pen = (1.0 - ys) ** b
+    pos = sup[ys == 1.0]
+    n = max(pos.size, 1)
 
-    log_yhat = np.log(yhat)
-    log_1m = np.log1p(-yhat)
-    one_m = 1.0 - yhat
-    pos_terms = one_m**a * log_yhat
-    neg_terms = (1.0 - y) ** b * yhat**a * log_1m
-    value = -(pos_terms[pos].sum() + neg_terms[~pos].sum()) / n
+    # full grid, negative branch without the penalty: yhat^a log(1 - yhat)
+    yhat = np.clip(raw, eps, 1.0 - eps, dtype=np.float64)
+    log_1m = np.negative(yhat)
+    np.log1p(log_1m, out=log_1m)
+    yhat_a = yhat**a
+    neg = yhat_a * log_1m
+    neg[sup] = pen * yhat_a[sup] * log_1m[sup]
+    yp = yhat[pos]
+    log_yp = np.log(yp)
+    one_mp = 1.0 - yp
+    # the negative terms are summed without the positive cells, in flat order: a
+    # full-grid sum with zeros at those cells would round differently
+    value = -((one_mp**a * log_yp).sum() + np.delete(neg, pos).sum()) / n
 
-    grad = np.where(
-        pos,
-        (a * one_m ** (a - 1.0) * log_yhat - one_m**a / yhat) / n,
-        (1.0 - y) ** b * (yhat**a / one_m - a * yhat ** (a - 1.0) * log_1m) / n,
-    )
-    grad[(raw < eps) | (raw > 1.0 - eps)] = 0.0
-    return float(value), DenseGrid(grad)
+    # gradient: yhat^a / (1 - yhat) - a yhat^(a-1) log(1 - yhat), penalized on the support
+    grad = np.subtract(1.0, yhat, out=neg)
+    np.divide(yhat_a, grad, out=grad)
+    t = yhat ** (a - 1.0)
+    t *= a
+    t *= log_1m
+    grad -= t
+    grad[sup] *= pen
+    grad /= n
+    grad[pos] = (a * one_mp ** (a - 1.0) * log_yp - one_mp**a / yp) / n
+    # compared in float64, as clamped: in float32, the float32 value nearest eps
+    # (just below it) would compare equal to eps and escape the mask
+    f64 = (np.float64, np.float64, np.bool_)
+    grad[np.less(raw, eps, signature=f64) | np.greater(raw, 1.0 - eps, signature=f64)] = 0.0
+    return float(value), DenseGrid(grad.reshape(pred.data.shape))
 
 
 def _l1_at_cells(pred: DenseGrid, entries, n: int) -> tuple[float, DenseGrid]:

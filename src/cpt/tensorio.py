@@ -68,17 +68,22 @@ def read_grid(path) -> DenseGrid:
         raise InputError(f"{path}: truncated header")
     try:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, an overlong int, deep nesting
         raise InputError(f"{path}: malformed tensor header: {e}") from e
+    if not isinstance(header, dict):
+        raise InputError(f"{path}: tensor header must be a JSON object, got {type(header).__name__}")
     for key in ("dims", "dtype", "order"):
         if key not in header:
             raise InputError(f"{path}: tensor header missing field {key!r}")
+    for key in ("dtype", "order"):
+        if not isinstance(header[key], str):
+            raise InputError(f"{path}: tensor header field {key!r} must be a string, got {header[key]!r}")
     if header["order"] != ORDER:
         raise InputError(f"{path}: unsupported order {header['order']!r}")
     if header["dtype"] not in _DTYPES:
         raise InputError(f"{path}: unsupported dtype {header['dtype']!r}")
     dims = header["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) and d >= 1 for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d >= 1 for d in dims)):
         raise InputError(f"{path}: bad dims {dims!r}")
     dtype = _DTYPES[header["dtype"]]
     count = dims[0] * dims[1] * dims[2]

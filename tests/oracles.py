@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from cpt import DenseGrid, FocalParams
+
 
 def shift_case_ious(w: float, h: float, r: float) -> tuple[float, float, float]:
     """IoU with the original box under the three corner-displacement cases."""
@@ -142,3 +144,50 @@ def reference_average_precision(matches: list[tuple[float, bool]], num_gt: int, 
         candidates = [p for rec, p in operating if rec >= r]
         total += max(candidates) if candidates else 0.0
     return total / points
+
+
+def reference_focal_loss(
+    pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalParams()
+) -> tuple[float, DenseGrid]:
+    """Penalty-reduced focal loss evaluated densely: both branches and the penalty on every cell."""
+    y = target.data.astype(np.float64, copy=False)
+    raw = pred.data.astype(np.float64, copy=False)
+    a, b, eps = params.alpha, params.beta, params.eps
+
+    yhat = np.clip(raw, eps, 1.0 - eps)
+    pos = y == 1.0
+    n = max(int(pos.sum()), 1)
+
+    log_yhat = np.log(yhat)
+    log_1m = np.log1p(-yhat)
+    one_m = 1.0 - yhat
+    pos_terms = one_m**a * log_yhat
+    neg_terms = (1.0 - y) ** b * yhat**a * log_1m
+    value = -(pos_terms[pos].sum() + neg_terms[~pos].sum()) / n
+
+    grad = np.where(
+        pos,
+        (a * one_m ** (a - 1.0) * log_yhat - one_m**a / yhat) / n,
+        (1.0 - y) ** b * (yhat**a / one_m - a * yhat ** (a - 1.0) * log_1m) / n,
+    )
+    grad[(raw < eps) | (raw > 1.0 - eps)] = 0.0
+    return float(value), DenseGrid(grad)
+
+
+def reference_splat(grid: DenseGrid, center: tuple[float, float], channel: int, sigma: float) -> DenseGrid:
+    """Gaussian splat into a fresh copy of the whole grid, combining by max; the argument is untouched."""
+    out = grid.copy()
+    px, py = float(center[0]), float(center[1])
+    radius = int(math.ceil(3.0 * sigma))
+    x0 = max(int(math.ceil(px - radius)), 0)
+    x1 = min(int(math.floor(px + radius)), grid.width - 1)
+    y0 = max(int(math.ceil(py - radius)), 0)
+    y1 = min(int(math.floor(py + radius)), grid.height - 1)
+    if x0 > x1 or y0 > y1:
+        return out
+    xs = np.arange(x0, x1 + 1, dtype=np.float64) - px
+    ys = np.arange(y0, y1 + 1, dtype=np.float64) - py
+    kernel = np.exp(-(xs[None, :] ** 2 + ys[:, None] ** 2) / (2.0 * sigma * sigma))
+    region = out.data[channel, y0 : y1 + 1, x0 : x1 + 1]
+    np.maximum(region, kernel, out=region)
+    return out

@@ -2,16 +2,19 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cpt
-from cpt import read_grid
+from cpt import DenseGrid, read_grid, write_grid
 from cpt.cli import run
 from cpt.dataset import dataset_to_json
-from cpt.synthetic import inject_center_collisions, make_dataset
+from cpt.synthetic import generator, inject_center_collisions, make_dataset
+
+from oracles import reference_focal_loss, reference_splat
 
 
 @pytest.fixture()
@@ -351,3 +354,66 @@ def test_console_entry_point(small_dataset):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_center"] == 0
+
+
+def _pose_dataset(path, seed, joints):
+    """Seeded 80x64 images with same-cell same-class pairs and keypoints, some hidden or off the image."""
+    rng = generator(seed)
+    base = make_dataset(seed, num_images=3, max_objects=15, num_classes=3, image_w=80, image_h=64)
+    ds = inject_center_collisions(base, seed, 4)
+    anns = []
+    for ann in ds.annotations:
+        xy = rng.uniform(-8.0, 88.0, size=(joints, 2))
+        anns.append(replace(ann, keypoints=[(float(x), float(y), bool(rng.random() < 0.8)) for x, y in xy]))
+    path.write_text(json.dumps(dataset_to_json(replace(ds, annotations=anns))), encoding="utf-8")
+
+
+def _predictions(work, entry, targets_dir, seed):
+    """float32 predictions near the targets, with heatmap cells at and beyond the focal clamp edges."""
+    rng = generator(seed)
+    paths = {}
+    for head in ("heatmap", "offset", "size"):
+        target = read_grid(targets_dir / entry["tensors"][head]).data
+        noise = rng.random(target.shape) if head == "heatmap" else rng.normal(0.0, 0.5, target.shape)
+        pred = (0.9 * target + 0.1 * noise if head == "heatmap" else target + noise).astype(np.float32)
+        if head == "heatmap":
+            edges = np.array([0.0, 1e-4, 1.0 - 1e-4, 1.0, np.nextafter(1e-4, 0.0)], dtype=np.float32)
+            cells = rng.choice(pred.size, size=40, replace=False)
+            pred.ravel()[cells] = edges[cells % edges.size]
+        paths[head] = work / f"pred_{entry['id']}_{head}.cpt"
+        write_grid(paths[head], DenseGrid(pred))
+    return paths
+
+
+def _encode_and_loss(capsys, work, dataset):
+    """stdout of cpt encode, cpt encode --pose and cpt loss --grad-out per image, and every file written."""
+    out = [
+        run_ok(capsys, ["encode", str(dataset), "--out", str(work / "det"), "--joints", "3"]),
+        run_ok(capsys, ["encode", str(dataset), "--out", str(work / "pose"), "--joints", "3", "--pose"]),
+    ]
+    for entry in json.loads(out[0])["images"]:
+        preds = _predictions(work, entry, work / "det", entry["id"])
+        argv = ["loss", "--manifest", str(work / "det" / "manifest.json"), "--image", str(entry["id"])]
+        for head, path in preds.items():
+            argv += [f"--pred-{head}", str(path)]
+        out.append(run_ok(capsys, argv + ["--grad-out", str(work / f"grads_{entry['id']}")]))
+    files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+    return out, files
+
+
+def test_encode_and_loss_bytes_equal_reference_splat_and_focal(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "ds.json"
+    _pose_dataset(dataset, 17, 3)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    out, files = _encode_and_loss(capsys, tmp_path / "new", dataset)
+    monkeypatch.setattr(cpt.targets, "render_gaussian", reference_splat)
+    monkeypatch.setattr(cpt.losses, "focal_loss", reference_focal_loss)
+    ref_out, ref_files = _encode_and_loss(capsys, tmp_path / "ref", dataset)
+    assert out == ref_out
+    assert files.keys() == ref_files.keys()
+    assert all(files[name] == ref_files[name] for name in files)
+    manifest = json.loads(out[0])
+    assert sum(len(entry["collisions"]) for entry in manifest["images"]) >= 1
+    assert sum(name.endswith("joint_heatmap.cpt") for name in files) == 3
+    assert sum(name.endswith("grad_heatmap.cpt") for name in files) == 3

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from cpt import DenseGrid, InputError, extract_peaks, gaussian_radius, gaussian_sigma, max_pool_3x3, render_gaussian
 
-from oracles import eight_neighbor_peak_mask, naive_max_pool_3x3, reference_peaks, search_displacement_radius
+from oracles import (
+    eight_neighbor_peak_mask,
+    naive_max_pool_3x3,
+    reference_peaks,
+    reference_splat,
+    search_displacement_radius,
+)
 
 
 def rng(seed=0):
@@ -93,6 +99,24 @@ class TestRenderGaussian:
         for i in perm:
             b = render_gaussian(b, centers[i], 0, sigmas[i])
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_changes_only_the_window(self, dtype):
+        r = rng(5)
+        for _ in range(60):
+            g = DenseGrid((0.5 * r.random((2, 9, 11))).astype(dtype))
+            before = g.data.copy()
+            px, py = float(r.uniform(-5, 16)), float(r.uniform(-5, 14))
+            channel, sigma = int(r.integers(0, 2)), float(r.uniform(0.2, 2.5))
+            want = reference_splat(DenseGrid(before), (px, py), channel, sigma)
+            assert render_gaussian(g, (px, py), channel, sigma) is g
+            assert g.data.dtype == dtype
+            assert g.data.tobytes() == want.data.tobytes()
+            radius = math.ceil(3.0 * sigma)
+            window = np.zeros(g.data.shape, dtype=bool)
+            xs, ys = np.arange(11), np.arange(9)
+            window[channel] = (np.abs(ys[:, None] - py) <= radius) & (np.abs(xs[None, :] - px) <= radius)
+            assert np.array_equal(g.data[~window], before[~window])
 
     def test_errors(self):
         g = DenseGrid.zeros(4, 4, 2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpt import (
     DenseGrid,
@@ -30,6 +32,8 @@ from cpt.losses import (
     gradcheck_size,
 )
 from cpt.targets import ObjectTarget
+
+from oracles import reference_focal_loss
 
 
 def rng(seed=0):
@@ -101,6 +105,62 @@ class TestFocalLoss:
     def test_target_range_validated(self):
         with pytest.raises(InputError):
             focal_loss(grid1(0.5), grid1(1.5))
+
+    def test_nan_target_rejected(self):
+        target = DenseGrid(np.array([[[1.0, np.nan, 0.0]]]))
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            focal_loss(DenseGrid(np.full((1, 1, 3), 0.5)), target)
+
+
+EDGES = (0.0, 1e-4, 1.0 - 1e-4, 1.0, -0.5, 1.5, np.nextafter(1e-4, 0.0), np.nextafter(1.0 - 1e-4, 1.0), np.nan)
+
+
+@st.composite
+def focal_cases(draw):
+    """Targets with zero, fractional and exactly-1 cells; predictions with clamp-edge and NaN cells."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "no positives", "all positives", "all zero"]))
+    u = r.random(shape)
+    y = np.where(u < 0.4, r.random(shape), 0.0)
+    if kind == "mixed":
+        y[u > 0.85] = 1.0
+    elif kind == "all positives":
+        y[:] = 1.0
+    elif kind == "all zero":
+        y[:] = 0.0
+    pred = r.uniform(-0.1, 1.1, size=shape)
+    edge = r.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    pred[edge] = r.choice(EDGES, size=int(edge.sum()))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    params = draw(
+        st.sampled_from([FocalParams(), FocalParams(alpha=1.5, beta=2.5), FocalParams(alpha=3.0, beta=0.0)])
+    )
+    return DenseGrid(pred.astype(dtype)), DenseGrid(y), params
+
+
+def canonical_bytes(values) -> bytes:
+    """Bytes of a float64 array with every NaN made one NaN; other values keep their bytes.
+
+    IEEE 754 leaves the sign of a NaN computed from two NaN operands open, and
+    numpy's choice depends on where in an array a loop meets the cell, so a NaN
+    prediction cell's sign bit is no property of the loss.
+    """
+    out = np.array(values, dtype=np.float64)
+    out[np.isnan(out)] = np.nan
+    return out.tobytes()
+
+
+class TestFocalMatchesReference:
+    @given(case=focal_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_value_and_gradient_bytes(self, case):
+        pred, target, params = case
+        value, grad = focal_loss(pred, target, params)
+        ref_value, ref_grad = reference_focal_loss(pred, target, params)
+        assert canonical_bytes(value) == canonical_bytes(ref_value)
+        assert grad.data.dtype == ref_grad.data.dtype and grad.data.shape == ref_grad.data.shape
+        assert canonical_bytes(grad.data) == canonical_bytes(ref_grad.data)
 
 
 class TestMaskedL1:

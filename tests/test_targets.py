@@ -12,8 +12,11 @@ from cpt import (
     encode_detection,
     encode_orientation,
     encode_pose,
+    targets,
 )
 from cpt.decode import decode_depth
+
+from oracles import reference_splat
 
 
 def cfg128(**kw):
@@ -233,3 +236,40 @@ class TestEncodePose:
     def test_out_of_grid_joint_masked(self):
         ts, _ = self.kp((200.0, 16.0, True))
         assert ts.objects[0].joint_mask[0] == 0.0
+
+
+def splat_scene(seed, size=64, joints=3):
+    """Two classes, same-class overlaps, a same-cell duplicate and a center outside the image."""
+    r = np.random.Generator(np.random.Philox(key=seed))
+
+    def keypoints():
+        xy = r.uniform(-10, size + 10, size=(joints, 2))
+        return [(float(x), float(y), bool(r.random() < 0.8)) for x, y in xy]
+
+    anns = []
+    for _ in range(int(r.integers(4, 14))):
+        cx, cy = r.uniform(-4, size + 4, size=2)
+        w, h = r.uniform(10, 30, size=2)
+        anns.append(
+            ObjectAnnotation(
+                bbox=(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                category=int(r.integers(0, 2)),
+                keypoints=keypoints(),
+            )
+        )
+    anns.append(ObjectAnnotation(bbox=(-12.0, 10.0, 4.0, 30.0), category=0, keypoints=keypoints()))
+    anns.append(ObjectAnnotation(bbox=anns[0].bbox, category=anns[0].category, keypoints=keypoints()))
+    return anns, EncoderConfig(input_w=size, input_h=size, num_classes=2, num_joints=joints)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_heatmaps_equal_copy_per_splat_reference(monkeypatch, seed):
+    anns, cfg = splat_scene(seed)
+    det, pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
+    assert pose.clamped_centers >= 1 and pose.collisions
+    monkeypatch.setattr(targets, "render_gaussian", reference_splat)
+    ref_det, ref_pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
+    assert det.heatmap.data.tobytes() == ref_det.heatmap.data.tobytes()
+    assert pose.heatmap.data.tobytes() == ref_pose.heatmap.data.tobytes()
+    assert pose.joint_heatmap.data.tobytes() == ref_pose.joint_heatmap.data.tobytes()
+    assert np.count_nonzero(pose.joint_heatmap.data) > 0

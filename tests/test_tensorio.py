@@ -98,3 +98,23 @@ def test_non_finite_payload_rejected(tmp_path, bad, dtype):
     with pytest.raises(InputError, match="NaN or infinite") as info:
         read_grid(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"5", "must be a JSON object"),
+        (b'"dims dtype order"', "must be a JSON object"),
+        (b'{"dims":[1,1,1],"dtype":["f64"],"order":"row-major-channel-outer"}', "'dtype' must be a string"),
+        (b'{"dims":[1,1,1],"dtype":"f64","order":{}}', "'order' must be a string"),
+        (b'{"dims":[true,true,true],"dtype":"f64","order":"row-major-channel-outer"}', "bad dims"),
+        (b"[" * 100_000, "malformed tensor header"),
+        (b"1" * 5_000, "malformed tensor header"),
+    ],
+    ids=["number", "string", "dtype-list", "order-object", "bool-dims", "deep-nesting", "overlong-int"],
+)
+def test_wrong_header_types_rejected(tmp_path, header, message):
+    path = tmp_path / "t.cpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + np.zeros(1).tobytes())
+    with pytest.raises(InputError, match=message):
+        read_grid(path)
