@@ -124,9 +124,11 @@ def count_center_collisions(ds: Dataset, stride: int = 4, oracle: bool = False) 
 
 def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = False) -> CollisionReport:
     """Pairs of same-class objects in one image with box IoU strictly above each threshold."""
-    thresholds = sorted(float(t) for t in thresholds)
+    thresholds = sorted({float(t) for t in thresholds})
     if not thresholds:
         raise InputError("at least one IoU threshold required")
+    if not all(math.isfinite(t) for t in thresholds):
+        raise InputError(f"IoU thresholds must be finite, got {thresholds}")
 
     merged: dict[float, list[CollisionPair]] = {t: [] for t in thresholds}
     for image_id, category_id, anns in _groups(ds):
@@ -139,12 +141,14 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
                             merged[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
         elif len(anns) > 1:
             boxes = np.array([a.bbox for a in anns], dtype=np.float64)
-            matrix = iou_matrix(boxes, boxes)
-            for i in range(len(anns)):
-                for j in range(i + 1, len(anns)):
-                    for t in thresholds:
-                        if matrix[i, j] > t:
-                            merged[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
+            k = np.arange(len(anns))
+            first, second = np.nonzero(k[:, None] < k)  # the np.triu_indices pairs, without its fixed cost
+            ious = iou_matrix(boxes, boxes)[first, second]
+            for t in thresholds:
+                hit = ious > t
+                merged[t].extend(
+                    CollisionPair(image_id, category_id, anns[i].id, anns[j].id) for i, j in zip(first[hit], second[hit])
+                )
     for t in thresholds:
         merged[t].sort(key=lambda p: (p.image_id, p.category_id, p.first, p.second))
     return CollisionReport(

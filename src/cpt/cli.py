@@ -1,4 +1,4 @@
-"""Command-line interface: dataset ingestion, tensor I/O, and subcommand dispatch.
+"""Command-line interface: argument parsing and subcommand dispatch.
 
 Machine-readable JSON goes to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 input error (including bad flags), 2 internal invariant
@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 
 from . import analysis, losses
-from .dataset import Dataset, finite_numbers, load_dataset, require_field
+from .dataset import Dataset, load_dataset
 from .decode import Detection, decode_boxes, decode_pose, to_input_space
 from .errors import InputError, InternalError
 from .evaluate import evaluate_detections
 from .geometry import AnchorConfig, greedy_nms
-from .targets import EncoderConfig, ObjectTarget, TargetSet, encode_detection, encode_orientation, encode_pose
+from .records import read_detections, read_targets, to_json, write_targets
+from .targets import EncoderConfig, encode_detection, encode_pose
 from .tensorio import read_grid, write_grid
 
 
@@ -57,46 +58,6 @@ def _load_dataset_warned(path) -> Dataset:
 
 # ---------------------------------------------------------------- encode
 
-def _object_json(obj: ObjectTarget, annotation_id) -> dict:
-    out = {
-        "index": obj.index,
-        "annotation_id": annotation_id,
-        "category": obj.category,
-        "cell": list(obj.cell),
-        "offset": list(obj.offset),
-        "size": list(obj.size),
-    }
-    if obj.depth is not None:
-        out["depth"] = obj.depth
-    if obj.dims3d is not None:
-        out["dims3d"] = list(obj.dims3d)
-    if obj.yaw is not None:
-        out["yaw"] = obj.yaw
-        out["orientation"] = [float(v) for v in obj.orientation]
-    if obj.joint_offsets is not None:
-        out["joint_offsets"] = [[float(a), float(b)] for a, b in obj.joint_offsets]
-        out["joint_mask"] = [float(v) for v in obj.joint_mask]
-    return out
-
-
-def _write_targets(ts: TargetSet, image_dir: Path) -> dict[str, str]:
-    image_dir.mkdir(parents=True, exist_ok=True)
-    tensors = {
-        "heatmap": ts.heatmap,
-        "size": ts.size,
-        "offset": ts.offset,
-        "center_mask": ts.center_mask,
-    }
-    if ts.joint_heatmap is not None:
-        tensors["joint_heatmap"] = ts.joint_heatmap
-        tensors["joint_local_offset"] = ts.joint_local_offset
-    paths = {}
-    for name, grid in tensors.items():
-        write_grid(image_dir / f"{name}.cpt", grid)
-        paths[name] = f"{image_dir.name}/{name}.cpt"
-    return paths
-
-
 def _cmd_encode(args) -> int:
     ds = _load_dataset_warned(args.dataset)
     num_classes = args.classes if args.classes is not None else max(ds.num_classes, 1)
@@ -125,28 +86,8 @@ def _cmd_encode(args) -> int:
             size_units=args.units,
         )
         anns = by_image[img.id]
-        encode = encode_pose if args.pose else encode_detection
-        ts = encode(anns, cfg)
-        paths = _write_targets(ts, out_dir / f"image_{img.id}")
-        entry = {
-            "id": img.id,
-            "input_w": cfg.input_w,
-            "input_h": cfg.input_h,
-            "grid_w": cfg.grid_w,
-            "grid_h": cfg.grid_h,
-            "tensors": paths,
-            "objects": [_object_json(o, anns[o.index].id) for o in ts.objects],
-            "collisions": [
-                {"cell": list(c.cell), "category": c.category, "first": c.first, "second": c.second}
-                for c in ts.collisions
-            ],
-            "clamped_centers": ts.clamped_centers,
-        }
-        if ts.joint_cells is not None:
-            entry["joint_cells"] = [
-                {"joint": jc.joint, "cell": list(jc.cell), "offset": list(jc.offset)} for jc in ts.joint_cells
-            ]
-        manifest["images"].append(entry)
+        ts = (encode_pose if args.pose else encode_detection)(anns, cfg)
+        manifest["images"].append(write_targets(ts, out_dir / f"image_{img.id}", img.id, [a.id for a in anns]))
 
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     _print_json(manifest)
@@ -154,26 +95,6 @@ def _cmd_encode(args) -> int:
 
 
 # ---------------------------------------------------------------- decode
-
-def _det_json(det: Detection, image_id) -> dict:
-    out = {
-        "image_id": image_id,
-        "category": det.category,
-        "score": det.score,
-        "box": list(det.box),
-        "center": list(det.center),
-        "units": det.units,
-    }
-    if det.depth is not None:
-        out["depth"] = det.depth
-    if det.dims3d is not None:
-        out["dims3d"] = list(det.dims3d)
-    if det.yaw is not None:
-        out["yaw"] = det.yaw
-    if det.joints is not None:
-        out["joints"] = [{"x": j.x, "y": j.y, "source": j.source} for j in det.joints]
-    return out
-
 
 def _cmd_decode(args) -> int:
     heatmap = read_grid(args.heatmap)
@@ -214,80 +135,16 @@ def _cmd_decode(args) -> int:
             continue
         if args.to_pixels:
             det = to_input_space(det, args.stride)
-        _print_json(_det_json(det, args.image_id))
+        _print_json({"image_id": args.image_id, **to_json(det)})
     return 0
 
 
 # ---------------------------------------------------------------- loss / gradcheck
 
-def _targets_from_manifest(manifest_path: Path, image_id) -> tuple[TargetSet, dict]:
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read manifest {manifest_path}: {e}") from e
-    entries = manifest.get("images", [])
-    if image_id is None:
-        if len(entries) != 1:
-            raise InputError(f"manifest has {len(entries)} images; pick one with --image")
-        entry = entries[0]
-    else:
-        matching = [e for e in entries if e.get("id") == image_id]
-        if not matching:
-            raise InputError(f"image {image_id} not present in manifest")
-        entry = matching[0]
-
-    base = manifest_path.parent
-    cfg = manifest["config"]
-    config = EncoderConfig(
-        input_w=entry["input_w"],
-        input_h=entry["input_h"],
-        num_classes=cfg["classes"],
-        output_stride=cfg["stride"],
-        num_joints=cfg["joints"],
-        min_overlap=cfg["min_overlap"],
-        size_units=cfg["units"],
-    )
-    objects = []
-    for raw in entry["objects"]:
-        yaw = raw.get("yaw")
-        objects.append(
-            ObjectTarget(
-                index=raw["index"],
-                category=raw["category"],
-                cell=tuple(raw["cell"]),
-                offset=tuple(raw["offset"]),
-                size=tuple(raw["size"]),
-                depth=raw.get("depth"),
-                dims3d=tuple(raw["dims3d"]) if "dims3d" in raw else None,
-                yaw=yaw,
-                orientation=encode_orientation(yaw) if yaw is not None else None,
-            )
-        )
-    ts = TargetSet(
-        config=config,
-        heatmap=read_grid(base / entry["tensors"]["heatmap"]),
-        size=read_grid(base / entry["tensors"]["size"]),
-        offset=read_grid(base / entry["tensors"]["offset"]),
-        center_mask=read_grid(base / entry["tensors"]["center_mask"]),
-        objects=objects,
-    )
-    return ts, entry
-
-
 def _cmd_loss(args) -> int:
-    ts, _ = _targets_from_manifest(Path(args.manifest), args.image)
-    preds = {
-        "heatmap": read_grid(args.pred_heatmap),
-        "offset": read_grid(args.pred_offset),
-        "size": read_grid(args.pred_size),
-    }
-    if args.pred_depth:
-        preds["depth"] = read_grid(args.pred_depth)
-    if args.pred_dims:
-        preds["dims"] = read_grid(args.pred_dims)
-    if args.pred_orientation:
-        preds["orientation"] = read_grid(args.pred_orientation)
-
+    ts = read_targets(args.manifest, args.image)
+    heads = ("heatmap", "offset", "size", "depth", "dims", "orientation")
+    preds = {head: read_grid(getattr(args, f"pred_{head}")) for head in heads if getattr(args, f"pred_{head}")}
     weights = losses.LossWeights(
         size=args.lambda_size,
         offset=args.lambda_off,
@@ -304,62 +161,32 @@ def _cmd_loss(args) -> int:
         for name, grid in report.gradients.items():
             write_grid(grad_dir / f"grad_{name}.cpt", grid)
 
-    out = {
-        "keypoint": report.keypoint,
-        "offset": report.offset,
-        "size": report.size,
-        "total": report.total,
-        "n_objects": report.n_objects,
-        "n_positive_cells": report.n_positive_cells,
-        "weights": {
-            "size": weights.size,
-            "offset": weights.offset,
-            "depth": weights.depth,
-            "dims": weights.dims,
-            "orientation": weights.orientation,
-        },
-    }
-    for name in ("depth", "dims", "orientation"):
-        value = getattr(report, name)
-        if value is not None:
-            out[name] = value
+    out = to_json(report)
+    del out["gradients"]
+    out["weights"] = to_json(weights)
     _print_json(out)
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
+    if not args.tolerance > 0:
+        raise InputError(f"--tolerance must be > 0, got {args.tolerance}")
     reports = losses.gradcheck_all(args.seed, args.step)
+    passed = {name: bool(rep.max_rel_error < args.tolerance) for name, rep in reports.items()}
     out = {
         "seed": args.seed,
         "step": args.step,
         "tolerance": args.tolerance,
-        "losses": {},
+        "losses": {name: {**to_json(rep), "pass": passed[name]} for name, rep in reports.items()},
+        "pass": all(passed.values()),
     }
-    ok = True
-    for name, rep in reports.items():
-        passed = bool(rep.max_rel_error < args.tolerance)
-        ok &= passed
-        out["losses"][name] = {
-            "max_rel_error": rep.max_rel_error,
-            "checked": rep.checked,
-            "excluded": rep.excluded,
-            "pass": passed,
-        }
-    out["pass"] = ok
     _print_json(out)
-    if not ok:
+    if not out["pass"]:
         raise InternalError("analytic gradients disagree with finite differences")
     return 0
 
 
 # ---------------------------------------------------------------- analyses
-
-def _pairs_json(pairs) -> list[dict]:
-    return [
-        {"image_id": p.image_id, "category_id": p.category_id, "first": p.first, "second": p.second}
-        for p in pairs
-    ]
-
 
 def _cmd_collisions(args) -> int:
     ds = _load_dataset_warned(args.dataset)
@@ -370,9 +197,9 @@ def _cmd_collisions(args) -> int:
         {
             "stride": args.stride,
             "n_center": center.n_center,
-            "center_pairs": _pairs_json(center.center_pairs),
+            "center_pairs": [to_json(p) for p in center.center_pairs],
             "n_iou": {repr(t): n for t, n in iou_rep.n_iou.items()},
-            "iou_pairs": {repr(t): _pairs_json(p) for t, p in iou_rep.iou_pairs.items()},
+            "iou_pairs": {repr(t): [to_json(p) for p in pairs] for t, pairs in iou_rep.iou_pairs.items()},
             "total_objects": center.total_objects,
             "buckets": center.bucket_totals,
             "warnings": center.warnings,
@@ -390,61 +217,15 @@ def _cmd_anchors(args) -> int:
         resize_shorter=args.resize_shorter,
     )
     report = analysis.count_forced_assignments(ds, cfg, iou_thresh=args.iou_thresh, oracle=args.oracle)
-    _print_json(
-        {
-            "n_anchor": report.n_anchor,
-            "total_objects": report.total_objects,
-            "buckets": report.buckets,
-            "forced_annotations": report.forced_annotations,
-            "warnings": report.warnings,
-        }
-    )
+    _print_json(to_json(report))
     return 0
 
 
 # ---------------------------------------------------------------- nms / eval / roundtrip
 
-def _read_jsonl(path) -> list[dict]:
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read detections {path}: {e}") from e
-    records = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as e:
-            raise InputError(f"detections line {n}: {e.msg}") from e
-        except (ValueError, RecursionError) as e:  # an overlong int, deep nesting
-            raise InputError(f"detections line {n}: {e}") from e
-    return records
-
-
-def _det_from_json(raw: dict, n: int) -> tuple[int, Detection, dict]:
-    where = f"detections line {n}"
-    category = require_field(raw, "category", int, where)
-    score = require_field(raw, "score", float, where)
-    box = require_field(raw, "box", list, where)
-    if len(box) != 4:
-        raise InputError(f"{where}: box must be [x1, y1, x2, y2]")
-    center = require_field(raw, "center", list, where) if "center" in raw else [0.0, 0.0]
-    det = Detection(
-        category=category,
-        score=score,
-        box=tuple(finite_numbers(box, where, "box entry")),
-        center=tuple(finite_numbers(center, where, "center entry")),
-        units=raw.get("units", "pixels"),
-    )
-    return require_field(raw, "image_id", int, where) if "image_id" in raw else 0, det, raw
-
-
 def _cmd_nms(args) -> int:
-    records = _read_jsonl(args.detections)
     groups: dict[int, list[tuple[Detection, dict]]] = {}
-    for n, raw in enumerate(records, start=1):
-        image_id, det, raw = _det_from_json(raw, n)
+    for raw, image_id, det in read_detections(args.detections):
         groups.setdefault(image_id, []).append((det, raw))
     for image_id in sorted(groups):
         dets = [d for d, _ in groups[image_id]]
@@ -454,18 +235,6 @@ def _cmd_nms(args) -> int:
             if id(det) in kept_ids:
                 _print_json(raw)
     return 0
-
-
-def _dets_by_image(records: list[dict], stride: int) -> dict[int, list[Detection]]:
-    out: dict[int, list[Detection]] = {}
-    for n, raw in enumerate(records, start=1):
-        image_id, det, _ = _det_from_json(raw, n)
-        if det.units == "cells":
-            det = to_input_space(det, stride)
-        elif det.units != "pixels":
-            raise InputError(f"detections line {n}: unknown units {det.units!r}")
-        out.setdefault(image_id, []).append(det)
-    return out
 
 
 def _eval_json(report, ds: Dataset) -> dict:
@@ -482,7 +251,9 @@ def _eval_json(report, ds: Dataset) -> dict:
 
 def _cmd_eval(args) -> int:
     ds = _load_dataset_warned(args.dataset)
-    dets = _dets_by_image(_read_jsonl(args.detections), args.stride)
+    dets: dict[int, list[Detection]] = {}
+    for _, image_id, det in read_detections(args.detections):
+        dets.setdefault(image_id, []).append(to_input_space(det, args.stride) if det.units == "cells" else det)
     gts = ds.annotations_by_image()
     report = evaluate_detections(dets, gts, iou_thresh=args.iou_thresh, recall_points=args.recall_points)
     _print_json(_eval_json(report, ds))

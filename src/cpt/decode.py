@@ -118,6 +118,8 @@ def decode_boxes(
     """
     if size_units not in SIZE_UNITS:
         raise InputError(f"size_units must be one of {SIZE_UNITS}, got {size_units!r}")
+    if stride < 1:
+        raise InputError(f"stride must be >= 1, got {stride}")
     _check_spatial("offset", offset_map, heatmap, 2)
     _check_spatial("size", size_map, heatmap, 2)
     if depth_map is not None:
@@ -213,6 +215,8 @@ def decode_pose(
     """
     if heatmap.channels != 1:
         raise InputError(f"pose decoding expects the 1-channel person heatmap, got {heatmap.channels}")
+    if stride < 1:
+        raise InputError(f"stride must be >= 1, got {stride}")
     k = joint_heatmap.channels
     _check_spatial("joint regression", joints_map, heatmap, 2 * k)
     _check_spatial("joint local offset", joint_local_offset, heatmap, 2)

@@ -84,6 +84,11 @@ class AnchorConfig:
     def __post_init__(self):
         if not self.sizes or not self.ratios:
             raise InputError("anchor sizes and ratios must be non-empty")
+        for name in ("sizes", "ratios"):
+            if not all(0 < v < math.inf for v in getattr(self, name)):
+                raise InputError(f"anchor {name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 < self.resize_shorter < math.inf:
+            raise InputError(f"resize_shorter must be finite and > 0, got {self.resize_shorter}")
         if self.stride < 1:
             raise InputError(f"anchor stride must be >= 1, got {self.stride}")
 

@@ -32,7 +32,7 @@ class FocalParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise InputError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise InputError(f"beta must be >= 0, got {self.beta}")
         if not 0 < self.eps < 0.5:
             raise InputError(f"eps must be in (0, 0.5), got {self.eps}")
@@ -50,7 +50,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("size", "offset", "depth", "dims", "orientation"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise InputError(f"loss weight {name} must be >= 0")
 
 
@@ -361,6 +361,8 @@ def gradcheck(
     denominator max(|fd|, |analytic|, 1e-8). Coordinates flagged in exclude
     are skipped (callers flag clamp edges, L1 kinks and softmax ties).
     """
+    if not 0 < step < math.inf:
+        raise InputError(f"gradcheck step must be a finite number > 0, got {step}")
     x0 = np.asarray(x0, dtype=np.float64)
     _, grad = fn(x0)
     grad = np.asarray(grad, dtype=np.float64).ravel()

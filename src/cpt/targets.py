@@ -68,6 +68,8 @@ class EncoderConfig:
     def for_image(cls, width: int, height: int, num_classes: int, **kwargs) -> "EncoderConfig":
         """Build a config for an image, zero-extending width/height up to stride multiples."""
         stride = kwargs.get("output_stride", 4)
+        if stride < 1:  # before the padding divides by it
+            raise InputError(f"output_stride must be >= 1, got {stride}")
         pad = lambda v: int(math.ceil(v / stride)) * stride
         return cls(input_w=pad(width), input_h=pad(height), num_classes=num_classes, **kwargs)
 

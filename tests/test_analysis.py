@@ -131,6 +131,19 @@ class TestIoUCollisions:
         ds = build_dataset({1: [(0, 0, 10, 10, 0), (1, 1, 10, 10, 1)]})
         assert count_iou_collisions(ds, thresholds=(0.3,)).n_iou[0.3] == 0
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_repeated_threshold_counts_each_pair_once(self, oracle):
+        ds = build_dataset({1: [(0, 0, 10, 10, 0), (0, 0, 10, 10, 0)]})
+        report = count_iou_collisions(ds, thresholds=(0.5, 0.5), oracle=oracle)
+        assert report.n_iou == {0.5: 1}
+        assert len(report.iou_pairs[0.5]) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_rejected(self, bad):
+        ds = build_dataset({1: [(0, 0, 10, 10, 0), (0, 0, 10, 10, 0)]})
+        with pytest.raises(InputError, match="finite"):
+            count_iou_collisions(ds, thresholds=(0.5, bad))
+
 
 class TestBuckets:
     def test_coco_convention(self):

@@ -272,6 +272,14 @@ def test_bad_detection_line_exit_1(small_dataset, tmp_path, capsys, command, bad
     assert f"detections line 2: {message}" in capsys.readouterr().err
 
 
+
+def test_bad_detection_named_by_its_line_in_the_file(tmp_path, capsys):
+    dets_path = tmp_path / "dets.jsonl"
+    good = json.dumps({"category": 0, "score": 0.9, "box": [0, 0, 4, 4]})
+    dets_path.write_text(good + "\n\n" + json.dumps({"category": "x"}) + "\n", encoding="utf-8")
+    assert run(["nms", str(dets_path)]) == 1
+    assert "detections line 3: field 'category' must be int" in capsys.readouterr().err
+
 def test_eval_accepts_cell_units(small_dataset, tmp_path, capsys):
     ds, path = small_dataset
     lines = [
@@ -417,3 +425,70 @@ def test_encode_and_loss_bytes_equal_reference_splat_and_focal(tmp_path, capsys,
     assert sum(len(entry["collisions"]) for entry in manifest["images"]) >= 1
     assert sum(name.endswith("joint_heatmap.cpt") for name in files) == 3
     assert sum(name.endswith("grad_heatmap.cpt") for name in files) == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1],
+        {"images": [{"id": 1}]},
+        {"config": {}, "images": [{"id": 1, "objects": "x"}]},
+    ],
+)
+def test_malformed_manifest_exit_1(tmp_path, capsys, doc):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["loss", "--manifest", str(manifest), "--pred-heatmap", "h", "--pred-offset", "o", "--pred-size", "s"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"manifest {manifest}" in err
+
+
+def _unit_grids(tmp_path):
+    """A 2x8x8 heatmap with one peak, zero offsets and unit sizes, as .cpt files."""
+    hm = np.zeros((2, 8, 8))
+    hm[1, 3, 4] = 0.9
+    paths = {}
+    for name, data in (("heatmap", hm), ("offset", np.zeros((2, 8, 8))), ("size", np.ones((2, 8, 8)))):
+        paths[name] = str(tmp_path / f"{name}.cpt")
+        write_grid(paths[name], DenseGrid(data))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("encode", ["--stride", "0"], "output_stride must be >= 1"),
+        ("roundtrip", ["--stride", "0"], "output_stride must be >= 1"),
+        ("decode", ["--stride", "0"], "stride must be >= 1"),
+        ("gradcheck", ["--step", "0"], "step must be a finite number > 0"),
+        ("gradcheck", ["--tolerance", "nan"], "--tolerance must be > 0"),
+        ("anchors", ["--resize-shorter", "0"], "resize_shorter must be finite and > 0"),
+        ("anchors", ["--resize-shorter", "-3"], "resize_shorter must be finite and > 0"),
+        ("anchors", ["--ratios", "1,0"], "anchor ratios must be finite and > 0"),
+        ("collisions", ["--thresholds", "nan"], "IoU thresholds must be finite"),
+        ("loss", ["--beta", "nan"], "beta must be >= 0"),
+        ("loss", ["--lambda-size", "nan"], "loss weight size must be >= 0"),
+    ],
+)
+def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):
+    _, path = small_dataset
+    if command == "decode":
+        grids = _unit_grids(tmp_path)
+        argv = ["decode", "--heatmap", grids["heatmap"], "--offset", grids["offset"], "--size", grids["size"]]
+    elif command == "encode":
+        argv = ["encode", str(path), "--out", str(tmp_path / "out")]
+    elif command == "gradcheck":
+        argv = ["gradcheck"]
+    elif command == "loss":
+        manifest = json.loads(run_ok(capsys, ["encode", str(path), "--out", str(tmp_path / "out")]))
+        tensors = {k: str(tmp_path / "out" / v) for k, v in manifest["images"][0]["tensors"].items()}
+        argv = ["loss", "--manifest", str(tmp_path / "out" / "manifest.json"), "--image", str(manifest["images"][0]["id"]),
+                "--pred-heatmap", tensors["heatmap"], "--pred-offset", tensors["offset"], "--pred-size", tensors["size"]]
+    else:
+        argv = [command, str(path)]
+    assert run(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+

@@ -1,19 +1,26 @@
 """Input boundaries under arbitrary input: only InputError may escape.
 
-Covers the .cpt tensor header, the dataset JSON and the detection JSON-lines
-read by `cpt nms` and `cpt eval`. The CLI maps any other exception to exit 2,
-so for the JSON-lines reader the assertion is that the exit status is 0 or 1.
+Covers the .cpt tensor header, the dataset JSON, the detection JSON-lines
+read by `cpt nms` and `cpt eval`, and the target manifest read by `cpt
+loss`. The CLI maps any other exception to exit 2, so for the JSON-lines
+reader and the manifest the assertion is that the exit status is 0 or 1.
 """
+import copy
 import json
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpt import InputError, load_dataset, read_grid
+from cpt import DenseGrid, InputError, load_dataset, read_grid, write_grid
 from cpt.cli import run
+from cpt.dataset import dataset_to_json
+from cpt.synthetic import generator, make_dataset
 from cpt.tensorio import MAGIC
 
 SCALARS = (
@@ -143,3 +150,38 @@ def test_detection_lines(lines, junk):
         dets.write_bytes(body if junk is None else body + b"\n" + junk)
         assert run(["nms", str(dets)]) in (0, 1)
         assert run(["eval", str(dets), str(ds_path)]) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def encoded(tmp_path_factory):
+    """An `encode --pose` manifest with 3D fields, and prediction files for every head `cpt loss` reads."""
+    work = tmp_path_factory.mktemp("manifest")
+    rng = generator(41)
+    ds = make_dataset(41, num_images=2, max_objects=5, num_classes=2, image_w=32, image_h=32, with_3d=True)
+    anns = [replace(a, keypoints=[(float(x), float(y), True) for x, y in rng.uniform(0, 32, (2, 2))]) for a in ds.annotations]
+    (work / "ds.json").write_text(json.dumps(dataset_to_json(replace(ds, annotations=anns))), encoding="utf-8")
+    assert run(["encode", str(work / "ds.json"), "--out", str(work), "--joints", "2", "--pose"]) == 0
+    preds = []
+    for head, channels in (("heatmap", 2), ("offset", 2), ("size", 2), ("depth", 1), ("dims", 3), ("orientation", 8)):
+        write_grid(work / f"pred_{head}.cpt", DenseGrid(rng.random((channels, 8, 8))))
+        preds += [f"--pred-{head}", str(work / f"pred_{head}.cpt")]
+    return work, json.loads((work / "manifest.json").read_text(encoding="utf-8")), preds
+
+
+@st.composite
+def manifest_edits(draw, doc):
+    doc = copy.deepcopy(doc)
+    records = [doc, doc["config"]]
+    for entry in doc["images"]:
+        records += [entry, entry["tensors"], *entry["objects"], *entry["collisions"], *entry["joint_cells"]]
+    _corrupt(draw, records)
+    return draw(JSON_VALUES) if draw(st.integers(0, 9)) == 0 else doc
+
+
+@given(data=st.data(), image=st.sampled_from([None, 1, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_manifest(encoded, data, image):
+    work, doc, preds = encoded
+    (work / "fuzz.json").write_text(json.dumps(data.draw(manifest_edits(doc))), encoding="utf-8")
+    image_flag = [] if image is None else ["--image", str(image)]
+    assert run(["loss", "--manifest", str(work / "fuzz.json"), *image_flag, *preds]) in (0, 1)

@@ -158,3 +158,12 @@ class TestAnchors:
     def test_resize_validates(self):
         with pytest.raises(InputError):
             resize_shorter(0, 10, 800)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"resize_shorter": 0.0}, {"resize_shorter": -3.0}, {"resize_shorter": math.inf},
+         {"ratios": (1.0, 0.0)}, {"sizes": (32.0, math.nan)}, {"ratios": (-1.0,)}],
+    )
+    def test_anchor_config_validates(self, kwargs):
+        with pytest.raises(InputError):
+            AnchorConfig(**kwargs)

@@ -1,0 +1,130 @@
+"""Golden outputs: every subcommand's stdout and written files, pinned by SHA-256.
+
+The input is a small seeded synthetic dataset with 3D fields and keypoints,
+plus seeded prediction grids. A refactor that changes no behaviour keeps
+every digest. Run `PYTHONPATH=src python tests/test_golden.py` to print the
+digests of the current code.
+"""
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cpt import DenseGrid, write_grid
+from cpt.cli import run
+from cpt.dataset import dataset_to_json
+from cpt.synthetic import generator, make_dataset
+
+JOINTS = 3
+EXPECTED = {
+    "encode": "77bb4c8c692a3393ec865283d0353202f388886682c6e19fbffb5433b56608e6",
+    "encode_pose": "f64fed8c5068484e82f39796aef62cbae43eeece0dbfbc4c2c05fb7ce7ea0b38",
+    "encode_cells": "1a73862d5c24c5a00a5944cdb748a05363eed372f44d8beaac22c8a1f94dbdcb",
+    "decode_3d": "66e97856f1750d148ab05ad2c7c46e89b719abd4e177fad106fc8c1276134ba6",
+    "decode_pixels": "fc1e1908322b91fed1eaaf168354955eb588e9391a217828ac418213a1f6781e",
+    "decode_pose": "43f39d99204a2a01c7449f6939e2f95455afdb932a4c3ff8d6cd2ad504482c21",
+    "loss_3d": "ba89606cc8e8e2afa9af45642ee62ce381a135f3004d4718574365a65c397a51",
+    "loss_pose": "c6b4931ad9c1fddb09087b85c03d8ba3ca04591ed42957cf32ec60d6804fe479",
+    "gradcheck": "c245d12e91ce445d09b6dd06b1282b047fe2799cf1f1fdb1b05aaa02f4ac4139",
+    "collisions": "b301d5676cbe11f01e5c13faf4790c787a39603d518d64e3ca180e751fa7bf9a",
+    "collisions_oracle": "b301d5676cbe11f01e5c13faf4790c787a39603d518d64e3ca180e751fa7bf9a",
+    "anchors": "2f3ad27e730f001a958b050b2b09ecffb5a5d556750973a54d2b82b42f1fac15",
+    "anchors_oracle": "2f3ad27e730f001a958b050b2b09ecffb5a5d556750973a54d2b82b42f1fac15",
+    "roundtrip": "f00f811bc04ac9212837d146d50764adc080a075ee753ccb6aaec9f021a26264",
+    "nms": "d34eb7ad80aff7c40d830c01aa4c2b302208ddc3477eecd3d262b89dc22159a0",
+    "eval": "ff90ca795aeeda07ad577da10d80b0a7cdaf4a6117172903f6f0b368f560ec6f",
+}
+
+
+def _write_inputs(work: Path) -> None:
+    rng = generator(2024)
+    ds = make_dataset(11, num_images=3, max_objects=6, num_classes=2, image_w=64, image_h=48, with_3d=True)
+    anns = []
+    for ann in ds.annotations:
+        xy = rng.uniform(-4.0, 68.0, size=(JOINTS, 2))
+        anns.append(replace(ann, keypoints=[(float(x), float(y), bool(rng.random() < 0.75)) for x, y in xy]))
+    (work / "ds.json").write_text(json.dumps(dataset_to_json(replace(ds, annotations=anns))), encoding="utf-8")
+    # predictions on the 16x12 grid of a 64x48 image at stride 4
+    shapes = {"heatmap": 2, "person": 1, "offset": 2, "size": 2, "depth": 1, "dims": 3, "orientation": 8, "joints": 2 * JOINTS}
+    for name, channels in shapes.items():
+        if name in ("heatmap", "person"):
+            data = rng.random((channels, 12, 16)).astype(np.float32)
+        else:
+            data = rng.normal(0.0, 2.0, (channels, 12, 16))
+        write_grid(work / f"pred_{name}.cpt", DenseGrid(np.abs(data) * 6.0 if name == "size" else data))
+
+
+def _cases():
+    """(name, argv) in run order; a case writes files only under a directory named after it."""
+    p = {name: f"pred_{name}.cpt" for name in ("heatmap", "person", "offset", "size", "depth", "dims", "orientation", "joints")}
+    det = ["--heatmap", p["heatmap"], "--offset", p["offset"], "--size", p["size"]]
+    preds = ["--pred-heatmap", p["heatmap"], "--pred-offset", p["offset"], "--pred-size", p["size"]]
+    return [
+        ("encode", ["encode", "ds.json", "--out", "encode", "--joints", str(JOINTS)]),
+        ("encode_pose", ["encode", "ds.json", "--out", "encode_pose", "--joints", str(JOINTS), "--pose"]),
+        ("encode_cells", ["encode", "ds.json", "--out", "encode_cells", "--joints", str(JOINTS), "--units", "cells"]),
+        ("decode_3d", ["decode", *det, "--depth", p["depth"], "--dims", p["dims"], "--orientation", p["orientation"],
+                       "--top-k", "12", "--image-id", "2"]),
+        ("decode_pixels", ["decode", *det, "--per-class-top-k", "--top-k", "4", "--min-score", "0.5", "--to-pixels"]),
+        ("decode_pose", ["decode", "--heatmap", p["person"], "--offset", p["offset"], "--size", p["size"],
+                         "--joints-map", p["joints"], "--joint-heatmap", "encode_pose/image_1/joint_heatmap.cpt",
+                         "--joint-local-offset", "encode_pose/image_1/joint_local_offset.cpt", "--top-k", "5",
+                         "--image-id", "1", "--to-pixels"]),
+        ("loss_3d", ["loss", "--manifest", "encode/manifest.json", "--image", "1", *preds, "--pred-depth", p["depth"],
+                     "--pred-dims", p["dims"], "--pred-orientation", p["orientation"], "--grad-out", "loss_3d"]),
+        ("loss_pose", ["loss", "--manifest", "encode_pose/manifest.json", "--image", "2", *preds,
+                       "--lambda-size", "0.5", "--grad-out", "loss_pose"]),
+        ("gradcheck", ["gradcheck", "--seed", "5"]),
+        ("collisions", ["collisions", "ds.json", "--thresholds", "0.05,0.2"]),
+        ("collisions_oracle", ["collisions", "ds.json", "--thresholds", "0.05,0.2", "--oracle"]),
+        ("anchors", ["anchors", "ds.json", "--sizes", "8,16,32", "--anchor-stride", "8", "--resize-shorter", "96"]),
+        ("anchors_oracle", ["anchors", "ds.json", "--sizes", "8,16,32", "--anchor-stride", "8", "--resize-shorter", "96",
+                            "--oracle"]),
+        ("roundtrip", ["roundtrip", "ds.json", "--recall-points", "101"]),
+        ("nms", ["nms", "dets.jsonl", "--iou-thresh", "0.3"]),
+        ("eval", ["eval", "dets.jsonl", "ds.json"]),
+    ]
+
+
+def golden_digests(work: Path, monkeypatch) -> dict[str, str]:
+    monkeypatch.chdir(work)
+    _write_inputs(work)
+    digests, stdout = {}, {}
+    for name, argv in _cases():
+        if name == "nms":
+            (work / "dets.jsonl").write_text(stdout["decode_3d"] + stdout["decode_pose"], encoding="utf-8")
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            status = run(argv)
+        assert status == 0, f"{name} exited {status}"
+        stdout[name] = buf.getvalue()
+        h = hashlib.sha256(stdout[name].encode("utf-8"))
+        for path in sorted((work / name).rglob("*")):
+            if path.is_file():
+                h.update(str(path.relative_to(work)).encode("utf-8") + b"\0" + path.read_bytes())
+        digests[name] = h.hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return golden_digests(tmp_path_factory.mktemp("golden"), monkeypatch)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _cases()])
+def test_golden_digest(digests, name):
+    assert digests[name] == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name, digest in golden_digests(Path(tmp), mp).items():
+            print(f'    "{name}": "{digest}",')
