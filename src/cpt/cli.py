@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +48,11 @@ def _floats_list(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part != ""]
     except ValueError as e:
         raise InputError(f"bad numeric list {text!r}: {e}") from e
+
+
+def _check_min_score(value: float) -> None:
+    if not math.isfinite(value):
+        raise InputError(f"--min-score must be finite, got {value}")
 
 
 def _load_dataset_warned(path) -> Dataset:
@@ -97,6 +103,7 @@ def _cmd_encode(args) -> int:
 # ---------------------------------------------------------------- decode
 
 def _cmd_decode(args) -> int:
+    _check_min_score(args.min_score)
     heatmap = read_grid(args.heatmap)
     offset = read_grid(args.offset)
     size = read_grid(args.size)
@@ -261,6 +268,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    _check_min_score(args.min_score)
     ds = _load_dataset_warned(args.dataset)
     by_image = ds.annotations_by_image()
     num_classes = max(ds.num_classes, 1)

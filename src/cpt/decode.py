@@ -217,6 +217,8 @@ def decode_pose(
         raise InputError(f"pose decoding expects the 1-channel person heatmap, got {heatmap.channels}")
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
+    if not math.isfinite(joint_thresh):
+        raise InputError(f"joint_thresh must be finite, got {joint_thresh}")
     k = joint_heatmap.channels
     _check_spatial("joint regression", joints_map, heatmap, 2 * k)
     _check_spatial("joint local offset", joint_local_offset, heatmap, 2)

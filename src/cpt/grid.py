@@ -5,6 +5,12 @@ is given and returns that same grid; the others never mutate their inputs
 and return fresh grids.
 Grid data is stored as a numpy array of shape (channels, height, width),
 row-major with the channel axis outermost.
+
+Peak extraction costs one pass for the row maxima, then a peak mask only on
+the rows whose maximum can still reach the top-k, so beyond that pass its
+cost follows the rows that can hold a kept peak, not the grid size.
+max_pool_3x3 is the whole-grid form of the same neighborhood and is not on
+that path.
 """
 from __future__ import annotations
 
@@ -18,6 +24,9 @@ from .errors import InputError
 # Gaussian radii below this are lifted to it before dividing by 3, so a
 # degenerate box still produces a (numerically) one-cell splat.
 MIN_RADIUS = 1e-6
+# extract_peaks visits at least this many rows per batch, so that numpy's
+# fixed cost per call stays small next to the work on the rows.
+MIN_BATCH_ROWS = 16
 
 
 class DenseGrid:
@@ -160,30 +169,116 @@ def max_pool_3x3(grid: DenseGrid) -> DenseGrid:
     return DenseGrid(out)
 
 
-def _top_peak_indices(data: np.ndarray, mask: np.ndarray, top_k: int) -> np.ndarray:
-    """Flat indices of the top_k peaks of a (C, H, W) block, by (-score, flat index).
+def _row_peaks(rows: np.ndarray, height: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and peak mask of rows r of a (C*H, W) view.
 
-    C-order flat index order is (channel, y, x) order. Only the peaks above
-    the k-th largest row maximum v are sorted; they lie in fewer than top_k
-    rows. The rest are peaks equal to v, taken in flat order.
+    A row's 3x3 neighborhood is rows y-1, y and y+1 of its own channel,
+    clipped at the borders: a border row stands in for its missing neighbor.
     """
-    scores = np.where(mask, data, -np.inf)
-    row_max = scores.max(axis=2).ravel()
-    if row_max.size < top_k:
-        v = -np.inf
-    else:
-        v = np.partition(row_max, row_max.size - top_k)[row_max.size - top_k]
-    above = np.flatnonzero(scores > v)
-    taken = [above[np.argsort(-scores.ravel()[above], kind="stable")][:top_k]]
-    need = top_k - taken[0].size
-    plane = data.shape[1] * data.shape[2]
-    for c in range(data.shape[0]):
-        if need <= 0:
-            break
-        equal = np.flatnonzero(mask[c] & (data[c] == v))[:need]
-        taken.append(equal + c * plane)
-        need -= equal.size
-    return np.concatenate(taken)
+    w = rows.shape[1]
+    y = r % height
+    mid = rows.take(r, axis=0)
+    cols = np.maximum(rows.take(r - (y > 0), axis=0), mid)
+    np.maximum(cols, rows.take(r + (y < height - 1), axis=0), out=cols)
+    # a peak equals its column max and is >= the column maxima at x-1 and x+1; compared over the
+    # flat buffer, each border cell met a cell of the next row, so the border columns are redone
+    m, c = mid.ravel(), cols.ravel()
+    peak = m == c
+    peak[1:] &= m[1:] >= c[:-1]
+    peak[:-1] &= m[:-1] >= c[1:]
+    peak = peak.reshape(mid.shape)
+    border, inner = [0, w - 1], [min(1, w - 1), max(w - 2, 0)]
+    peak[:, border] = (mid[:, border] == cols[:, border]) & (mid[:, border] >= cols[:, inner])
+    return mid, peak
+
+
+def _top_peak_indices(data: np.ndarray, top_k: int, per_channel: bool) -> np.ndarray:
+    """Flat indices of the top_k peaks of a (C, H, W) grid, by (-score, flat index).
+
+    C-order flat index order is (channel, y, x) order. The cap covers a
+    group of rows: the whole grid, or each channel when per_channel is set.
+    The maximum R of a row bounds the score of every peak in it, so each
+    group visits its rows in descending R (flat order on ties), all groups
+    in the same batches, which double, and only visited rows get a peak mask.
+    With T the largest R a group has not visited, every one of its peaks
+    above T has been found. Its cut is final once top_k of those are found,
+    or once top_k - a of its peaks equal to T lie in visited rows before the
+    next unvisited one (a being the count above T): an unvisited row holding
+    a peak equal to T comes after every visited row with R == T.
+    """
+    c, h, w = data.shape
+    groups = c if per_channel else 1
+    n = c * h // groups  # rows per group
+    rows = data.reshape(c * h, w)
+    bound = np.fmax.reduce(rows, axis=1).reshape(groups, n)  # NaN only for an all-NaN row: no peak, sorts last
+    order = np.argsort(-bound, axis=1, kind="stable")  # row within the group, by visiting position
+    ranked = np.take_along_axis(bound, order, axis=1)
+    live = n - np.count_nonzero(np.isnan(bound), axis=1)
+    values = np.empty((groups, n, w), data.dtype)  # visited rows by visiting position
+    peaks = np.zeros((groups, n, w), bool)
+    cut = np.full(groups, np.nan)  # a closed group keeps its peaks that score >= cut
+    visited, batch = 0, max(-(-top_k // w), MIN_BATCH_ROWS)  # at least enough rows to hold top_k peaks
+    while np.isnan(cut).any():
+        o = np.flatnonzero(np.isnan(cut))
+        pos = np.arange(visited, min(visited + batch, n))
+        go, gp = np.nonzero(pos < live[o, None])
+        g, p = o[go], pos[gp]
+        values[g, p], peaks[g, p] = _row_peaks(rows, h, order[g, p] + g * n)
+        visited = min(visited + batch, n)
+        batch *= 2
+        sel = o if o.size < groups else slice(None)  # a slice copies nothing
+        nxt = min(visited, n - 1)
+        t = np.where(visited < live[o], ranked[sel, nxt], -np.inf)
+        level = t.astype(data.dtype)[:, None, None]
+        v, pk = values[sel, :visited], peaks[sel, :visited]
+        above = np.count_nonzero((v > level) & pk, axis=(1, 2))
+        # unvisited rows with R == T come after the next one in flat order
+        early = (order[sel, :visited] < order[sel, nxt, None])[:, :, None]
+        ties = np.count_nonzero((v == level) & pk & early, axis=(1, 2))
+        close = (above + ties >= top_k) | (visited >= live[o])
+        cut[o[close]] = t[close]
+    row_ids = order[:, :visited] + np.arange(0, c * h, n)[:, None]
+    return _select(values[:, :visited], peaks[:, :visited], row_ids, cut, top_k)
+
+
+def _select(values: np.ndarray, peaks: np.ndarray, row_ids: np.ndarray, cut: np.ndarray, top_k: int) -> np.ndarray:
+    """Flat indices of each group's top_k peaks, by (-score, flat index).
+
+    values and peaks are (groups, visited, W): each group's visited rows
+    by visiting position, with their row numbers in row_ids. A group's top
+    peaks are those above its cut, then its ties at the cut in flat order.
+    """
+    groups, visited, w = values.shape
+    span = visited * w
+    hi = np.flatnonzero((values > cut.astype(values.dtype)[:, None, None]) & peaks)
+    scores = values[np.unravel_index(hi, values.shape)]
+    counts = np.bincount(hi // span, minlength=groups)
+    if counts.max() >= top_k:
+        # a group that holds top_k peaks above its cut cuts at the top_k-th of them instead
+        board = np.full((groups, counts.max()), -np.inf)
+        board[hi // span, _rank_in_group(hi // span, groups)] = scores
+        cut = np.maximum(cut, np.partition(board, -top_k, axis=1)[:, -top_k])
+        keep = scores > cut[hi // span]
+        hi, scores = hi[keep], scores[keep]
+    need = top_k - np.bincount(hi // span, minlength=groups)
+    tie = (values == cut.astype(values.dtype)[:, None, None]) & peaks
+    # only the rows that come first in flat order can hold the ties kept
+    per_row = np.count_nonzero(tie, axis=2)
+    flat = np.argsort(row_ids, axis=1)
+    per_row_flat = np.take_along_axis(per_row, flat, axis=1)
+    first = np.zeros(per_row.shape, bool)
+    np.put_along_axis(first, flat, np.cumsum(per_row_flat, axis=1) - per_row_flat < need[:, None], axis=1)
+    lo = np.flatnonzero(tie & first[:, :, None])
+    lo = lo[np.argsort(row_ids.ravel()[lo // w], kind="stable")]
+    lo = lo[_rank_in_group(lo // span, groups) < need[lo // span]]
+    idx = row_ids.ravel()[np.concatenate([hi, lo]) // w] * w + np.concatenate([hi, lo]) % w
+    scores = np.concatenate([scores, cut[lo // span]])
+    return idx[np.lexsort((idx, -scores))]
+
+
+def _rank_in_group(g: np.ndarray, groups: int) -> np.ndarray:
+    """Position of each element among those of its group, for g sorted ascending."""
+    return np.arange(g.size) - np.searchsorted(g, np.arange(groups))[g]
 
 
 def extract_peaks(grid: DenseGrid, top_k: int, per_channel: bool = False) -> list[Peak]:
@@ -195,22 +290,17 @@ def extract_peaks(grid: DenseGrid, top_k: int, per_channel: bool = False) -> lis
     comparison and are kept, subject to the cap. NaN cells, and cells next
     to one, are never peaks.
 
-    Cost: a few passes over the grid plus sorting the peaks of at most
-    top_k rows (per channel when per_channel is set).
+    Cost: one pass over the grid for its row maxima, then a peak mask on
+    the rows that can hold a top_k peak, visited in descending row maximum
+    until the cut is final; only peaks at or above the cut are sorted. On a
+    sparse heatmap that is a few hundred of its rows. With per_channel set,
+    every channel is its own group with its own cap, and the groups advance
+    together.
     """
     if top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}")
     data = grid.data
-    mask = data == max_pool_3x3(grid).data
-    if per_channel:
-        plane = data.shape[1] * data.shape[2]
-        idx = np.concatenate(
-            [_top_peak_indices(data[c : c + 1], mask[c : c + 1], top_k) + c * plane for c in range(data.shape[0])]
-        )
-        # channel blocks are concatenated in channel order, so a stable sort keeps flat order on ties
-        idx = idx[np.argsort(-data.ravel()[idx], kind="stable")]
-    else:
-        idx = _top_peak_indices(data, mask, top_k)
+    idx = _top_peak_indices(data, top_k, per_channel)
     scores = data.ravel()[idx].astype(np.float64).tolist()
     cs, ys, xs = (a.tolist() for a in np.unravel_index(idx, data.shape))
     return [Peak(x, y, c, s) for x, y, c, s in zip(xs, ys, cs, scores)]

@@ -152,12 +152,21 @@ def read_targets(manifest_path, image_id: int | None) -> TargetSet:
         config = EncoderConfig(**fields)
     except InputError as e:
         raise InputError(f"{where}: {e}") from e
+    for key, derived in (("grid_w", config.grid_w), ("grid_h", config.grid_h)):
+        if require_field(entry, key, int, where) != derived:
+            raise InputError(f"{where}: {key} is {entry[key]}, but the input size and stride give {derived}")
     tensors = require_field(entry, "tensors", dict, where)
     grids = {
         name: read_grid(manifest_path.parent / require_field(tensors, name, str, f"{where} tensors"))
         for name in TENSORS
         if name in tensors or not name.startswith("joint_")
     }
+    for name, grid in grids.items():
+        if (grid.width, grid.height) != (config.grid_w, config.grid_h):
+            raise InputError(
+                f"{where} tensors {name}: grid is {grid.width}x{grid.height}, the manifest gives "
+                f"{config.grid_w}x{config.grid_h}"
+            )
     ts = TargetSet(config=config, **grids, objects=_records(entry, "objects", object_from_json, where))
     if "collisions" in entry:
         ts.collisions = _records(entry, "collisions", _collision_from_json, where)

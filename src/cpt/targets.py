@@ -54,6 +54,8 @@ class EncoderConfig:
             raise InputError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.num_joints < 1:
             raise InputError(f"num_joints must be >= 1, got {self.num_joints}")
+        if self.input_w < 1 or self.input_h < 1:
+            raise InputError(f"input_w and input_h must be >= 1, got ({self.input_w}, {self.input_h})")
         if self.input_w % self.output_stride or self.input_h % self.output_stride:
             raise InputError(
                 f"input size ({self.input_w}, {self.input_h}) not divisible by stride "

@@ -444,6 +444,32 @@ def test_malformed_manifest_exit_1(tmp_path, capsys, doc):
     assert err.startswith("error: ") and f"manifest {manifest}" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"input_w": 0}, "input_w and input_h must be >= 1"),
+        ({"input_h": -128}, "input_w and input_h must be >= 1"),
+        ({"grid_w": 33}, "grid_w is 33, but the input size and stride give 32"),
+        ({"grid_h": 1}, "grid_h is 1, but the input size and stride give 32"),
+        ({"input_w": 256, "grid_w": 64}, "tensors heatmap: grid is 32x32, the manifest gives 64x32"),
+    ],
+)
+def test_manifest_geometry_mismatch_exit_1(small_dataset, tmp_path, capsys, edit, message):
+    _, path = small_dataset
+    manifest = json.loads(run_ok(capsys, ["encode", str(path), "--out", str(tmp_path / "out")]))
+    entry = manifest["images"][0]
+    tensors = {k: str(tmp_path / "out" / v) for k, v in entry["tensors"].items()}
+    entry.update(edit)
+    edited = tmp_path / "out" / "edited.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+    argv = ["loss", "--manifest", str(edited), "--image", str(entry["id"]),
+            "--pred-heatmap", tensors["heatmap"], "--pred-offset", tensors["offset"], "--pred-size", tensors["size"]]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: manifest {edited} images[0]") and message in captured.err
+
+
 def _unit_grids(tmp_path):
     """A 2x8x8 heatmap with one peak, zero offsets and unit sizes, as .cpt files."""
     hm = np.zeros((2, 8, 8))
@@ -469,13 +495,26 @@ def _unit_grids(tmp_path):
         ("collisions", ["--thresholds", "nan"], "IoU thresholds must be finite"),
         ("loss", ["--beta", "nan"], "beta must be >= 0"),
         ("loss", ["--lambda-size", "nan"], "loss weight size must be >= 0"),
+        ("decode", ["--min-score", "nan"], "--min-score must be finite"),
+        ("decode", ["--min-score=-inf"], "--min-score must be finite"),
+        ("roundtrip", ["--min-score", "nan"], "--min-score must be finite"),
+        ("decode_pose", ["--joint-thresh", "nan"], "joint_thresh must be finite"),
+        ("decode_pose", ["--joint-thresh", "inf"], "joint_thresh must be finite"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):
     _, path = small_dataset
-    if command == "decode":
+    if command in ("decode", "decode_pose"):
         grids = _unit_grids(tmp_path)
         argv = ["decode", "--heatmap", grids["heatmap"], "--offset", grids["offset"], "--size", grids["size"]]
+        if command == "decode_pose":
+            # one person channel and one joint type on the same 8x8 grid
+            for name, channels in (("person", 1), ("joints", 2), ("joint_heatmap", 1), ("joint_local", 2)):
+                grids[name] = str(tmp_path / f"{name}.cpt")
+                write_grid(grids[name], DenseGrid(np.zeros((channels, 8, 8))))
+            argv[2] = grids["person"]
+            argv += ["--joints-map", grids["joints"], "--joint-heatmap", grids["joint_heatmap"],
+                     "--joint-local-offset", grids["joint_local"]]
     elif command == "encode":
         argv = ["encode", str(path), "--out", str(tmp_path / "out")]
     elif command == "gradcheck":

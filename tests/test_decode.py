@@ -329,6 +329,12 @@ class TestDecodePose:
         for det in dets:
             assert all(j.source == REGRESSED for j in det.joints)
 
+    @pytest.mark.parametrize("thresh", [math.nan, math.inf, -math.inf])
+    def test_non_finite_joint_thresh_rejected(self, thresh):
+        _, ts, _ = self.encode_scene(seed=3, num_people=1)
+        with pytest.raises(InputError, match="joint_thresh must be finite"):
+            self.decode(ts, joint_thresh=thresh)
+
     def test_requires_person_channel(self):
         with pytest.raises(InputError):
             decode_pose(

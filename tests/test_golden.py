@@ -28,6 +28,8 @@ EXPECTED = {
     "decode_3d": "66e97856f1750d148ab05ad2c7c46e89b719abd4e177fad106fc8c1276134ba6",
     "decode_pixels": "fc1e1908322b91fed1eaaf168354955eb588e9391a217828ac418213a1f6781e",
     "decode_pose": "43f39d99204a2a01c7449f6939e2f95455afdb932a4c3ff8d6cd2ad504482c21",
+    "decode_ties": "fa2f61fba9119ddfa3ba629db6a3aa5803319410f487944480fe6fde7d7dc150",
+    "decode_ties_per_class": "62772bdb84a9b5ab91efe85c3d4e9176486e8925a81425e894a3c3e60ff09e2d",
     "loss_3d": "ba89606cc8e8e2afa9af45642ee62ce381a135f3004d4718574365a65c397a51",
     "loss_pose": "c6b4931ad9c1fddb09087b85c03d8ba3ca04591ed42957cf32ec60d6804fe479",
     "gradcheck": "c245d12e91ce445d09b6dd06b1282b047fe2799cf1f1fdb1b05aaa02f4ac4139",
@@ -75,6 +77,11 @@ def _cases():
                          "--joints-map", p["joints"], "--joint-heatmap", "encode_pose/image_1/joint_heatmap.cpt",
                          "--joint-local-offset", "encode_pose/image_1/joint_local_offset.cpt", "--top-k", "5",
                          "--image-id", "1", "--to-pixels"]),
+        # the encoded target heatmap is mostly a zero plateau, so --min-score -1 prints the tie fill at the cut
+        ("decode_ties", ["decode", "--heatmap", "encode/image_1/heatmap.cpt", "--offset", p["offset"], "--size",
+                         p["size"], "--top-k", "40", "--min-score", "-1"]),
+        ("decode_ties_per_class", ["decode", "--heatmap", "encode/image_1/heatmap.cpt", "--offset", p["offset"],
+                                   "--size", p["size"], "--top-k", "25", "--min-score", "-1", "--per-class-top-k"]),
         ("loss_3d", ["loss", "--manifest", "encode/manifest.json", "--image", "1", *preds, "--pred-depth", p["depth"],
                      "--pred-dims", p["dims"], "--pred-orientation", p["orientation"], "--grad-out", "loss_3d"]),
         ("loss_pose", ["loss", "--manifest", "encode_pose/manifest.json", "--image", "2", *preds,

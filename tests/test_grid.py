@@ -267,8 +267,48 @@ def peak_grids(draw):
     return data.reshape(c, h, w).astype(draw(st.sampled_from([np.float64, np.float32])))
 
 
+@st.composite
+def sparse_grids(draw):
+    """Zero background plus a few Gaussian bumps, as encode_detection output looks.
+
+    Bump rows away from the center have a maximum that is not a peak; a
+    mirrored bump ties rows on their maximum across channels; NaN cells,
+    all-NaN rows and all -inf grids are drawn too.
+    """
+    # tall enough that a group has rows left after the first batch of extract_peaks
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    grid = DenseGrid.zeros(w, h, c)
+    for _ in range(draw(st.integers(0, 4))):
+        center = (draw(st.floats(-1.5, w + 0.5)), draw(st.floats(-1.5, h + 0.5)))
+        sigma = draw(st.floats(0.2, 2.5))
+        channel = draw(st.integers(0, c - 1))
+        render_gaussian(grid, center, channel, sigma)
+        if draw(st.booleans()):
+            render_gaussian(grid, center, draw(st.integers(0, c - 1)), sigma)
+    data = grid.data
+    flaw = draw(st.sampled_from(["none", "none", "nan cells", "nan row", "-inf grid"]))
+    if flaw == "nan cells":
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, c - 1)), draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = np.nan
+    elif flaw == "nan row":
+        data[draw(st.integers(0, c - 1)), draw(st.integers(0, h - 1))] = np.nan
+    elif flaw == "-inf grid":
+        data[:] = -np.inf
+    return data.astype(draw(st.sampled_from([np.float64, np.float32])))
+
+
 class TestPeakOrder:
     """Full ordered peak lists, with the cap below, at and above the peak count."""
+
+    @given(data=sparse_grids(), per_channel=st.booleans(), plateau=st.booleans(), k_draw=st.integers(0, 2**16))
+    @settings(max_examples=400, deadline=None)
+    def test_sparse_matches_reference(self, data, per_channel, plateau, k_draw):
+        # k from 1 to past the nonzero peaks, or to past every peak, so that the cut falls inside the zero plateau
+        mask = eight_neighbor_peak_mask(data) & ((data >= 0) if plateau else (data > 0))
+        count = int(mask.sum(axis=(1, 2)).max()) if per_channel else int(mask.sum())
+        k = 1 + k_draw % (count + 4)
+        got = [tuple(p) for p in extract_peaks(DenseGrid(data), k, per_channel=per_channel)]
+        assert got == reference_peaks(data, k, per_channel)
 
     @given(data=peak_grids(), per_channel=st.booleans(), k_shift=st.sampled_from([-3, -1, 0, 1, 5]))
     @settings(max_examples=400, deadline=None)
