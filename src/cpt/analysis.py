@@ -3,13 +3,20 @@
 Each counter has a fast path and an independently implemented oracle path
 (--oracle in the CLI); both must agree exactly. Collision pairs are counted
 per image and category; anchor assignment follows the single-level grid with
-the image resized so its shorter edge hits the configured length. The
-forced-anchor fast path factors each anchor shape's overlaps over the two
-axes; its oracle is the dense IoU matrix of every box against all anchors.
+the image resized so its shorter edge hits the configured length.
+
+The forced-anchor fast path factors each anchor shape's overlaps over the two
+axes and evaluates a box only on the anchors that can hold its best IoU: the
+positions within DELTA of each axis's overlap maximum, in the shapes whose
+IoU upper bound reaches an IoU some anchor attains. That costs O(B·(W + H))
+per shape for B boxes on W×H anchor positions, plus the surviving windows,
+which hold about 0.05% of all box-anchor pairs on synthetic 640×480 scenes.
+Its oracle is the dense IoU matrix of every box against all anchors.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +30,11 @@ from .targets import ObjectAnnotation
 SMALL_MAX_AREA = 32.0**2
 MEDIUM_MAX_AREA = 96.0**2
 BUCKETS = ("small", "medium", "large")
+
+# relative slack of the forced-anchor window and shape tests. It must exceed the
+# change of an anchor's area with its position (a few ulp); beyond that a larger
+# value only evaluates more anchors.
+DELTA = 1e-9
 
 
 def area_bucket(area: float) -> str:
@@ -160,29 +172,82 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
     )
 
 
-def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
-    """Max IoU over all anchors: per anchor shape, overlaps factor over the two axes.
+def _anchor_iou(inter: np.ndarray, box_area: np.ndarray, anchor_area: np.ndarray) -> np.ndarray:
+    """IoU from intersection and areas with the arithmetic of iou_matrix: 0 unless both are positive."""
+    union = box_area + anchor_area - inter
+    return np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
 
-    Exact over all anchors (no pruning); anchor extents per axis depend only
-    on that axis's grid position, so the intersection is the outer product of
-    per-axis overlap lengths. Corners, intersection and union use the same
-    arithmetic as iou_matrix, so the result equals the dense oracle bit for bit.
+
+def _window(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, length, max) along the last axis of the span of overlaps within DELTA of their max.
+
+    Overlap is concave in anchor position, so the near-max positions form one
+    run; spanning from the first to the last of them keeps the window whole
+    even where rounding breaks that run.
+    """
+    best = overlap.max(axis=-1)
+    near = overlap >= (best * (1.0 - DELTA))[..., None]
+    first = near.argmax(axis=-1)
+    return first, overlap.shape[-1] - near[..., ::-1].argmax(axis=-1) - first, best
+
+
+def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
+    """Max IoU over all anchors, evaluated only on the anchors that can hold it.
+
+    Within one anchor shape the intersection is ox[x]·oy[y], the product of
+    per-axis overlap lengths, and IoU grows with it: anchor sides change with
+    position by at most an ulp of the image extent, far below DELTA of any
+    anchor long enough to overlap a box at two positions. An anchor whose ox
+    (or oy) is below (1 − DELTA) times its maximum therefore cannot hold the
+    best IoU, and each (box, shape) needs only the window of positions near
+    both axis maxima. A shape is skipped when its bound
+    imax / (box area + smallest anchor area − imax), with imax the largest
+    intersection, falls short of an IoU that some anchor attains. The
+    surviving windows are evaluated with the arithmetic of iou_matrix, so the
+    result equals the dense oracle bit for bit. Cost per shape: O(B·(W + H))
+    for the windows, plus the anchors in the surviving windows.
     """
     xs = anchor_positions(image_w, cfg.stride)
     ys = anchor_positions(image_h, cfg.stride)
     bx1, by1, bx2, by2 = (boxes[:, k, None] for k in range(4))
-    box_area = ((bx2 - bx1) * (by2 - by1))[:, :, None]
-    best = np.zeros(boxes.shape[0])
-    for w, h in anchor_shapes(cfg):
+    box_area = ((bx2 - bx1) * (by2 - by1))[:, 0]
+    shapes = anchor_shapes(cfg)
+    ox = np.empty((len(shapes), boxes.shape[0], len(xs)))
+    oy = np.empty((len(shapes), boxes.shape[0], len(ys)))
+    aw = np.empty((len(shapes), len(xs)))
+    ah = np.empty((len(shapes), len(ys)))
+    for s, (w, h) in enumerate(shapes):
         ax1, ax2 = xs - w / 2.0, xs + w / 2.0
         ay1, ay2 = ys - h / 2.0, ys + h / 2.0
-        ox = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
-        oy = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
-        inter = ox[:, None, :] * oy[:, :, None]
-        anchor_area = (ax2 - ax1)[None, :] * (ay2 - ay1)[:, None]
-        union = box_area + anchor_area - inter
-        ious = np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
-        best = np.maximum(best, ious.max(axis=(1, 2)))
+        aw[s], ah[s] = ax2 - ax1, ay2 - ay1
+        ox[s] = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
+        oy[s] = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
+    # (shape, box) arrays from here on
+    x0, nx, mx = _window(ox)
+    y0, ny, my = _window(oy)
+    # the IoU at each window's first anchor, attained by that anchor, bounds the best one from below
+    inter = np.take_along_axis(ox, x0[..., None], 2)[..., 0] * np.take_along_axis(oy, y0[..., None], 2)[..., 0]
+    area = np.take_along_axis(aw, x0, 1) * np.take_along_axis(ah, y0, 1)
+    lower = _anchor_iou(inter, box_area, area).max(axis=0)
+    imax = mx * my
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = imax / (box_area + (aw.min(axis=1) * ah.min(axis=1))[:, None] - imax)
+    # a NaN or inf bound (zero union) never skips its shape
+    keep = (mx > 0.0) & (my > 0.0) & ~(upper * (1.0 + DELTA) < lower)
+    shape_of, box_of = np.nonzero(keep)
+    best = np.zeros(boxes.shape[0])
+    if not len(box_of):
+        return best
+    x0, nx, y0, ny = x0[keep], nx[keep], y0[keep], ny[keep]
+    sizes = nx * ny
+    starts = np.cumsum(sizes) - sizes
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(starts[-1] + sizes[-1]) - starts[pair]
+    ix = x0[pair] + local // ny[pair]
+    iy = y0[pair] + local % ny[pair]
+    s, b = shape_of[pair], box_of[pair]
+    ious = _anchor_iou(ox[s, b, ix] * oy[s, b, iy], box_area[b], aw[s, ix] * ah[s, iy])
+    np.maximum.at(best, box_of, np.maximum.reduceat(ious, starts))
     return best
 
 
@@ -204,27 +269,32 @@ def count_forced_assignments(
     if not 0 < iou_thresh < 1:
         raise InputError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
     by_image = ds.annotations_by_image()
-    forced_ids = []
+    forced: list[ObjectAnnotation] = []
     max_anchor_ious = _max_anchor_ious_oracle if oracle else _max_anchor_ious_fast
     for img in ds.images:
         anns = by_image[img.id]
         if not anns:
             continue
         w, h, scale = resize_shorter(img.width, img.height, cfg.resize_shorter)
+        if min(w, h) < cfg.stride / 2.0:  # anchor_positions would be empty along that axis
+            raise InputError(
+                f"image {img.id} resizes to {w:g}x{h:g}, which holds no anchor center at stride {cfg.stride}: "
+                f"each side must be >= stride / 2"
+            )
         boxes = np.array([a.bbox for a in anns], dtype=np.float64) * scale
         max_ious = max_anchor_ious(boxes, w, h, cfg)
-        forced_ids.extend(anns[i].id for i in range(len(anns)) if max_ious[i] < iou_thresh)
-    forced_ids.sort()
-    forced_set = set(forced_ids)
-    buckets = {}
+        forced.extend(a for a, v in zip(anns, max_ious) if v < iou_thresh)
+    forced_ids = sorted(a.id for a in forced)
+    forced_counts = Counter(area_bucket(a.area) for a in forced)
     totals = _bucket_totals(ds)
-    for name in BUCKETS:
-        count = sum(1 for a in ds.annotations if a.id in forced_set and area_bucket(a.area) == name)
-        buckets[name] = {
-            "forced": count,
+    buckets = {
+        name: {
+            "forced": forced_counts[name],
             "total": totals[name],
-            "fraction": count / totals[name] if totals[name] else None,
+            "fraction": forced_counts[name] / totals[name] if totals[name] else None,
         }
+        for name in BUCKETS
+    }
     return AnchorReport(
         n_anchor=len(forced_ids),
         total_objects=len(ds.annotations),

@@ -1,10 +1,13 @@
 """Annotation analyses: collision counters and forced anchor assignments."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpt import AnchorConfig, InputError, ObjectAnnotation, count_center_collisions, count_forced_assignments, count_iou_collisions
-from cpt.analysis import area_bucket
+from cpt.analysis import _max_anchor_ious_fast, _max_anchor_ious_oracle, area_bucket
 from cpt.dataset import CategoryInfo, Dataset, ImageInfo
+from cpt.geometry import anchor_positions, anchor_shapes
 
 
 def rng(seed=0):
@@ -201,3 +204,56 @@ class TestForcedAssignments:
     def test_threshold_validated(self):
         with pytest.raises(InputError):
             count_forced_assignments(Dataset(), AnchorConfig(), iou_thresh=0.0)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_empty_anchor_grid_rejected(self, oracle):
+        # 64x48 resized to a shorter edge of 4 is 5.33x4, below half the stride on both axes
+        ds = build_dataset({7: [(0, 0, 10, 10, 0)]}, image_size=(64, 48))
+        with pytest.raises(InputError, match="image 7 resizes to 5.33333x4, which holds no anchor center at stride 16"):
+            count_forced_assignments(ds, AnchorConfig(resize_shorter=4.0), oracle=oracle)
+        # an extent of exactly half the stride holds one anchor center
+        one = count_forced_assignments(ds, AnchorConfig(resize_shorter=8.0), oracle=oracle)
+        assert one.total_objects == 1
+
+    @given(case=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_max_ious_bit_identical_to_oracle(self, case):
+        boxes, image_w, image_h, cfg = case.draw(anchor_cases())
+        fast = _max_anchor_ious_fast(boxes, image_w, image_h, cfg)
+        assert fast.tobytes() == _max_anchor_ious_oracle(boxes, image_w, image_h, cfg).tobytes()
+
+
+@st.composite
+def anchor_cases(draw):
+    """(boxes, image_w, image_h, cfg): grids of at most 24x24 positions, boxes of any size and place.
+
+    Boxes run from 1e-3 px to past every anchor, lie partly or wholly outside
+    the image, collapse to zero width or height, or sit on the anchor lattice
+    (an anchor itself, or corners on half-stride multiples) for exact ties.
+    """
+    stride = draw(st.integers(1, 33))
+    sizes = draw(st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4))
+    ratios = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.2, 5.0), min_size=1, max_size=3))
+    cfg = AnchorConfig(sizes=tuple(sizes), ratios=tuple(ratios), stride=stride)
+    image_w, image_h = (draw(st.floats(stride / 2.0, stride * 24.0)) for _ in range(2))
+    xs, ys, shapes = anchor_positions(image_w, stride), anchor_positions(image_h, stride), anchor_shapes(cfg)
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "anchor", "half_stride", "zero_width", "zero_height"]))
+        if kind == "anchor":
+            w, h = shapes[draw(st.integers(0, len(shapes) - 1))]
+            cx, cy = xs[draw(st.integers(0, len(xs) - 1))], ys[draw(st.integers(0, len(ys) - 1))]
+            boxes.append([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0])
+            continue
+        cx = draw(st.floats(-0.5 * image_w, 1.5 * image_w))
+        cy = draw(st.floats(-0.5 * image_h, 1.5 * image_h))
+        w, h = (10.0 ** draw(st.floats(-3.0, 3.3)) for _ in range(2))
+        box = [cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0]
+        if kind == "half_stride":
+            box = [round(v / (stride / 2.0)) * (stride / 2.0) for v in box]
+        elif kind == "zero_width":
+            box[2] = box[0]
+        elif kind == "zero_height":
+            box[3] = box[1]
+        boxes.append(box)
+    return np.array(boxes, dtype=np.float64), image_w, image_h, cfg

@@ -500,6 +500,8 @@ def _unit_grids(tmp_path):
         ("roundtrip", ["--min-score", "nan"], "--min-score must be finite"),
         ("decode_pose", ["--joint-thresh", "nan"], "joint_thresh must be finite"),
         ("decode_pose", ["--joint-thresh", "inf"], "joint_thresh must be finite"),
+        ("anchors", ["--resize-shorter", "4"], "resizes to 4x4, which holds no anchor center at stride 16"),
+        ("anchors", ["--resize-shorter", "4", "--oracle"], "resizes to 4x4, which holds no anchor center at stride 16"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):

@@ -1,7 +1,8 @@
 """Golden outputs: every subcommand's stdout and written files, pinned by SHA-256.
 
 The input is a small seeded synthetic dataset with 3D fields and keypoints,
-plus seeded prediction grids. A refactor that changes no behaviour keeps
+seeded prediction grids, and a dataset of 4-px and >= 400-px boxes for
+`cpt anchors` under the default anchor grid. A refactor that changes no behaviour keeps
 every digest. Run `PYTHONPATH=src python tests/test_golden.py` to print the
 digests of the current code.
 """
@@ -37,6 +38,8 @@ EXPECTED = {
     "collisions_oracle": "b301d5676cbe11f01e5c13faf4790c787a39603d518d64e3ca180e751fa7bf9a",
     "anchors": "2f3ad27e730f001a958b050b2b09ecffb5a5d556750973a54d2b82b42f1fac15",
     "anchors_oracle": "2f3ad27e730f001a958b050b2b09ecffb5a5d556750973a54d2b82b42f1fac15",
+    "anchors_mixed": "6a2248920a9a3a1e641687b30504ee74a6b3abbfe593f5cbb35ae630cbe4daf5",
+    "anchors_mixed_ratios": "63d2ce42f958e280fdde3cbeb7a16ffee260d74fffa236e36781be232ee4af91",
     "roundtrip": "f00f811bc04ac9212837d146d50764adc080a075ee753ccb6aaec9f021a26264",
     "nms": "d34eb7ad80aff7c40d830c01aa4c2b302208ddc3477eecd3d262b89dc22159a0",
     "eval": "ff90ca795aeeda07ad577da10d80b0a7cdaf4a6117172903f6f0b368f560ec6f",
@@ -51,6 +54,20 @@ def _write_inputs(work: Path) -> None:
         xy = rng.uniform(-4.0, 68.0, size=(JOINTS, 2))
         anns.append(replace(ann, keypoints=[(float(x), float(y), bool(rng.random() < 0.75)) for x, y in xy]))
     (work / "ds.json").write_text(json.dumps(dataset_to_json(replace(ds, annotations=anns))), encoding="utf-8")
+    # 4-px and >= 400-px boxes on 640x480 images: under the default anchors the small ones are forced,
+    # and a large one leaves most anchor shapes unable to reach its best IoU
+    mrng = generator(2025)
+    images, mixed = [], []
+    for image_id in (1, 2, 3):
+        images.append({"id": image_id, "width": 640, "height": 480})
+        sizes = [(4.0, 4.0)] * 5 + [(float(mrng.uniform(400.0, 630.0)), float(mrng.uniform(400.0, 470.0))) for _ in range(3)]
+        sizes += [(float(w), float(w * mrng.uniform(0.2, 3.0))) for w in mrng.uniform(20.0, 150.0, size=4)]
+        for w, h in sizes:
+            x, y = float(mrng.uniform(0.0, 640.0 - w)), float(mrng.uniform(0.0, 480.0 - h))
+            mixed.append({"id": len(mixed) + 1, "image_id": image_id, "category_id": 1 + len(mixed) % 2, "bbox": [x, y, w, h]})
+    categories = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]
+    (work / "mixed.json").write_text(json.dumps({"images": images, "categories": categories, "annotations": mixed}),
+                                     encoding="utf-8")
     # predictions on the 16x12 grid of a 64x48 image at stride 4
     shapes = {"heatmap": 2, "person": 1, "offset": 2, "size": 2, "depth": 1, "dims": 3, "orientation": 8, "joints": 2 * JOINTS}
     for name, channels in shapes.items():
@@ -92,6 +109,8 @@ def _cases():
         ("anchors", ["anchors", "ds.json", "--sizes", "8,16,32", "--anchor-stride", "8", "--resize-shorter", "96"]),
         ("anchors_oracle", ["anchors", "ds.json", "--sizes", "8,16,32", "--anchor-stride", "8", "--resize-shorter", "96",
                             "--oracle"]),
+        ("anchors_mixed", ["anchors", "mixed.json"]),
+        ("anchors_mixed_ratios", ["anchors", "mixed.json", "--ratios", "0.25,1,3"]),
         ("roundtrip", ["roundtrip", "ds.json", "--recall-points", "101"]),
         ("nms", ["nms", "dets.jsonl", "--iou-thresh", "0.3"]),
         ("eval", ["eval", "dets.jsonl", "ds.json"]),
