@@ -36,6 +36,9 @@ BUCKETS = ("small", "medium", "large")
 # value only evaluates more anchors.
 DELTA = 1e-9
 
+# box-anchor pairs per chunk of the dense oracle: 8 MB per float64 temporary, unless one box has more anchors
+_ORACLE_PAIRS = 1 << 20
+
 
 def area_bucket(area: float) -> str:
     if area < SMALL_MAX_AREA:
@@ -252,8 +255,18 @@ def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg
 
 
 def _max_anchor_ious_oracle(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
-    """Dense max-IoU: the IoU matrix of boxes against every anchor of the grid."""
-    return iou_matrix(boxes, anchor_grid(image_w, image_h, cfg)).max(axis=1)
+    """Dense max-IoU: the IoU matrix of boxes against every anchor of the grid.
+
+    The matrix is formed for chunks of at most _ORACLE_PAIRS box-anchor pairs
+    (one box at least), so its temporaries do not grow with the box count.
+    Each row's max depends on that row alone, so chunking changes no bit.
+    """
+    anchors = anchor_grid(image_w, image_h, cfg)
+    rows = max(1, _ORACLE_PAIRS // len(anchors))
+    best = np.empty(len(boxes))
+    for i in range(0, len(boxes), rows):
+        best[i : i + rows] = iou_matrix(boxes[i : i + rows], anchors).max(axis=1)
+    return best
 
 
 def count_forced_assignments(

@@ -70,6 +70,10 @@ class LossReport:
     gradients: dict[str, DenseGrid] = field(default_factory=dict)
 
 
+# cells per block of focal_loss: its few block-sized float64 temporaries stay in L2
+_FOCAL_BLOCK = 1 << 14
+
+
 def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalParams()) -> tuple[float, DenseGrid]:
     """Penalty-reduced pixel-wise focal loss over heatmaps.
 
@@ -79,10 +83,16 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     through the clamp: zero where the raw prediction sits in a clamped-flat
     region.
 
-    Cost: a fixed number of float64 passes over the grid, plus work
-    proportional to the nonzero target cells. Where the target is 0 the
-    penalty (1 - 0)^beta is exactly 1, so it is applied only on the target's
-    support, and the positive branch only at the positive cells.
+    Cost: one pass over the grid, block by block (`_FOCAL_BLOCK` cells), each
+    block running a fixed number of float64 ufuncs on temporaries that stay in
+    cache, plus work proportional to the nonzero target cells. Where the
+    target is 0 the penalty (1 - 0)^beta is exactly 1, so it is applied only
+    on the target's support, and the positive branch only at the positive
+    cells. The two full-size outputs are the gradient and the negative terms
+    without the positive cells. Blocking changes no bit: the float32 ->
+    float64 cast is exact, every op but the sum is elementwise, and the one
+    sum runs over the same array, in the same order, as an unblocked
+    evaluation would form.
     """
     if pred.data.shape != target.data.shape:
         raise InputError(f"shape mismatch: pred {pred.data.shape} vs target {target.data.shape}")
@@ -98,34 +108,49 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     pos = sup[ys == 1.0]
     n = max(pos.size, 1)
 
-    # full grid, negative branch without the penalty: yhat^a log(1 - yhat)
-    yhat = np.clip(raw, eps, 1.0 - eps, dtype=np.float64)
-    log_1m = np.negative(yhat)
-    np.log1p(log_1m, out=log_1m)
-    yhat_a = yhat**a
-    neg = yhat_a * log_1m
-    neg[sup] = pen * yhat_a[sup] * log_1m[sup]
-    yp = yhat[pos]
+    # positive branch: (1 - yhat)^a log(yhat) and its gradient
+    yp = np.clip(raw[pos], eps, 1.0 - eps, dtype=np.float64)
     log_yp = np.log(yp)
     one_mp = 1.0 - yp
-    # the negative terms are summed without the positive cells, in flat order: a
-    # full-grid sum with zeros at those cells would round differently
-    value = -((one_mp**a * log_yp).sum() + np.delete(neg, pos).sum()) / n
+    grad_pos = (a * one_mp ** (a - 1.0) * log_yp - one_mp**a / yp) / n
 
-    # gradient: yhat^a / (1 - yhat) - a yhat^(a-1) log(1 - yhat), penalized on the support
-    grad = np.subtract(1.0, yhat, out=neg)
-    np.divide(yhat_a, grad, out=grad)
-    t = yhat ** (a - 1.0)
-    t *= a
-    t *= log_1m
-    grad -= t
-    grad[sup] *= pen
-    grad /= n
-    grad[pos] = (a * one_mp ** (a - 1.0) * log_yp - one_mp**a / yp) / n
-    # compared in float64, as clamped: in float32, the float32 value nearest eps
-    # (just below it) would compare equal to eps and escape the mask
-    f64 = (np.float64, np.float64, np.bool_)
-    grad[np.less(raw, eps, signature=f64) | np.greater(raw, 1.0 - eps, signature=f64)] = 0.0
+    grad = np.empty(raw.size)
+    # the negative terms without the positive cells, in flat order: a full-grid
+    # sum with zeros at those cells would round differently
+    negs = np.empty(raw.size - pos.size)
+    for start in range(0, raw.size, _FOCAL_BLOCK):
+        stop = min(start + _FOCAL_BLOCK, raw.size)
+        s0, s1 = np.searchsorted(sup, (start, stop))
+        p0, p1 = np.searchsorted(pos, (start, stop))
+        bsup, bpen, bpos = sup[s0:s1] - start, pen[s0:s1], pos[p0:p1] - start
+
+        yhat = raw[start:stop].astype(np.float64)
+        # compared in float64, as clamped: in float32, the float32 value nearest eps
+        # (just below it) would compare equal to eps and escape the mask
+        clamped = (yhat < eps) | (yhat > 1.0 - eps)
+        np.clip(yhat, eps, 1.0 - eps, out=yhat)
+
+        # negative branch without the penalty: yhat^a log(1 - yhat)
+        log_1m = np.negative(yhat)
+        np.log1p(log_1m, out=log_1m)
+        yhat_a = yhat**a
+        neg = yhat_a * log_1m
+        neg[bsup] = bpen * yhat_a[bsup] * log_1m[bsup]
+        negs[start - p0 : stop - p1] = np.delete(neg, bpos) if p1 > p0 else neg
+
+        # gradient: yhat^a / (1 - yhat) - a yhat^(a-1) log(1 - yhat), penalized on the support
+        g = grad[start:stop]
+        np.subtract(1.0, yhat, out=g)
+        np.divide(yhat_a, g, out=g)
+        t = yhat ** (a - 1.0)
+        t *= a
+        t *= log_1m
+        g -= t
+        g[bsup] *= bpen
+        g /= n
+        g[bpos] = grad_pos[p0:p1]
+        g[clamped] = 0.0
+    value = -((one_mp**a * log_yp).sum() + negs.sum()) / n
     return float(value), DenseGrid(grad.reshape(pred.data.shape))
 
 
@@ -311,7 +336,7 @@ def total_loss(
         size=lsize,
         total=lk + weights.size * lsize + weights.offset * loff,
         n_objects=len(targets.objects),
-        n_positive_cells=int((targets.heatmap.data == 1.0).sum()),
+        n_positive_cells=int(np.count_nonzero(targets.heatmap.data == 1.0)),
         gradients={"heatmap": g_hm, "offset": g_off, "size": g_size},
     )
 

@@ -1,13 +1,16 @@
 """Annotation analyses: collision counters and forced anchor assignments."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpt import AnchorConfig, InputError, ObjectAnnotation, count_center_collisions, count_forced_assignments, count_iou_collisions
+from cpt import analysis
 from cpt.analysis import _max_anchor_ious_fast, _max_anchor_ious_oracle, area_bucket
 from cpt.dataset import CategoryInfo, Dataset, ImageInfo
-from cpt.geometry import anchor_positions, anchor_shapes
+from cpt.geometry import anchor_grid, anchor_positions, anchor_shapes, iou_matrix
 
 
 def rng(seed=0):
@@ -214,6 +217,22 @@ class TestForcedAssignments:
         # an extent of exactly half the stride holds one anchor center
         one = count_forced_assignments(ds, AnchorConfig(resize_shorter=8.0), oracle=oracle)
         assert one.total_objects == 1
+
+    def test_oracle_chunks_bit_identical_to_whole_matrix(self):
+        r = rng(31)
+        cfg = AnchorConfig(sizes=(8.0, 16.0, 32.0), stride=8)
+        anchors = anchor_grid(100.0, 80.0, cfg)
+        xy = r.uniform(-10.0, 90.0, size=(10, 2))
+        boxes = np.concatenate([xy, xy + r.uniform(0.0, 60.0, size=(10, 2))], axis=1)
+        whole = iou_matrix(boxes, anchors).max(axis=1)
+        # three boxes per chunk: chunks of 3, 3, 3 and 1
+        with mock.patch.object(analysis, "_ORACLE_PAIRS", 3 * len(anchors) + 7):
+            chunked = _max_anchor_ious_oracle(boxes, 100.0, 80.0, cfg)
+        assert chunked.tobytes() == whole.tobytes()
+        # a chunk cap below one row still evaluates one box per chunk
+        with mock.patch.object(analysis, "_ORACLE_PAIRS", 1):
+            assert _max_anchor_ious_oracle(boxes, 100.0, 80.0, cfg).tobytes() == whole.tobytes()
+        assert _max_anchor_ious_oracle(boxes[:0], 100.0, 80.0, cfg).shape == (0,)
 
     @given(case=st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 """Golden outputs: every subcommand's stdout and written files, pinned by SHA-256.
 
 The input is a small seeded synthetic dataset with 3D fields and keypoints,
-seeded prediction grids, and a dataset of 4-px and >= 400-px boxes for
-`cpt anchors` under the default anchor grid. A refactor that changes no behaviour keeps
-every digest. Run `PYTHONPATH=src python tests/test_golden.py` to print the
-digests of the current code.
+seeded prediction grids, a dataset of 4-px and >= 400-px boxes for
+`cpt anchors` under the default anchor grid, and one 8-class 512x384 image
+whose 98,304-cell heatmap spans several blocks of the focal loss. A refactor
+that changes no behaviour keeps every digest. Run
+`PYTHONPATH=src python tests/test_golden.py` to print the digests of the
+current code.
 """
 import hashlib
 import io
@@ -33,6 +35,8 @@ EXPECTED = {
     "decode_ties_per_class": "62772bdb84a9b5ab91efe85c3d4e9176486e8925a81425e894a3c3e60ff09e2d",
     "loss_3d": "ba89606cc8e8e2afa9af45642ee62ce381a135f3004d4718574365a65c397a51",
     "loss_pose": "c6b4931ad9c1fddb09087b85c03d8ba3ca04591ed42957cf32ec60d6804fe479",
+    "encode_large": "1032e971242d955dc02fe3b526c434d3002b976db9532b7faf089c0c9c710735",
+    "loss_large": "1a206f550143fea6c7cc70f9144a8c3874ddd99337f78cc66a3d394027ee0410",
     "gradcheck": "c245d12e91ce445d09b6dd06b1282b047fe2799cf1f1fdb1b05aaa02f4ac4139",
     "collisions": "b301d5676cbe11f01e5c13faf4790c787a39603d518d64e3ca180e751fa7bf9a",
     "collisions_oracle": "b301d5676cbe11f01e5c13faf4790c787a39603d518d64e3ca180e751fa7bf9a",
@@ -76,6 +80,16 @@ def _write_inputs(work: Path) -> None:
         else:
             data = rng.normal(0.0, 2.0, (channels, 12, 16))
         write_grid(work / f"pred_{name}.cpt", DenseGrid(np.abs(data) * 6.0 if name == "size" else data))
+    # an 8-class 512x384 image and float32 predictions on its 128x96 grid, some cells on the clamp edges
+    large = make_dataset(15, num_images=1, max_objects=40, num_classes=8, image_w=512, image_h=384)
+    (work / "large.json").write_text(json.dumps(dataset_to_json(large)), encoding="utf-8")
+    lrng = generator(2026)
+    heatmap = lrng.random((8, 96, 128), dtype=np.float32)
+    edges = np.array([0.0, 1e-4, 1.0 - 1e-4, 1.0, np.nextafter(1e-4, 0.0), np.nextafter(1.0 - 1e-4, 1.0)])
+    heatmap.ravel()[lrng.integers(0, heatmap.size, 60)] = np.repeat(edges, 10).astype(np.float32)
+    write_grid(work / "pred_large_heatmap.cpt", DenseGrid(heatmap))
+    write_grid(work / "pred_large_offset.cpt", DenseGrid(lrng.random((2, 96, 128))))
+    write_grid(work / "pred_large_size.cpt", DenseGrid(lrng.uniform(0.0, 60.0, (2, 96, 128))))
 
 
 def _cases():
@@ -103,6 +117,10 @@ def _cases():
                      "--pred-dims", p["dims"], "--pred-orientation", p["orientation"], "--grad-out", "loss_3d"]),
         ("loss_pose", ["loss", "--manifest", "encode_pose/manifest.json", "--image", "2", *preds,
                        "--lambda-size", "0.5", "--grad-out", "loss_pose"]),
+        ("encode_large", ["encode", "large.json", "--out", "encode_large"]),
+        ("loss_large", ["loss", "--manifest", "encode_large/manifest.json", "--image", "1", "--pred-heatmap",
+                        "pred_large_heatmap.cpt", "--pred-offset", "pred_large_offset.cpt", "--pred-size",
+                        "pred_large_size.cpt", "--grad-out", "loss_large"]),
         ("gradcheck", ["gradcheck", "--seed", "5"]),
         ("collisions", ["collisions", "ds.json", "--thresholds", "0.05,0.2"]),
         ("collisions_oracle", ["collisions", "ds.json", "--thresholds", "0.05,0.2", "--oracle"]),

@@ -1,5 +1,7 @@
 """Loss values, gradients, normalization, and finite-difference verification."""
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from cpt import (
     orientation_loss,
     total_loss,
 )
+from cpt import losses
 from cpt.losses import (
     gradcheck_depth,
     gradcheck_dims,
@@ -31,6 +34,7 @@ from cpt.losses import (
     gradcheck_orientation,
     gradcheck_size,
 )
+from cpt.synthetic import make_dataset
 from cpt.targets import ObjectTarget
 
 from oracles import reference_focal_loss
@@ -115,10 +119,22 @@ class TestFocalLoss:
 EDGES = (0.0, 1e-4, 1.0 - 1e-4, 1.0, -0.5, 1.5, np.nextafter(1e-4, 0.0), np.nextafter(1.0 - 1e-4, 1.0), np.nan)
 
 
+BLOCKS = (1, 3, 64, losses._FOCAL_BLOCK)
+
+
 @st.composite
 def focal_cases(draw):
-    """Targets with zero, fractional and exactly-1 cells; predictions with clamp-edge and NaN cells."""
-    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    """Targets with zero, fractional and exactly-1 cells; predictions with clamp-edge and NaN cells.
+
+    Also draws the block size of focal_loss. A grid spans one to about three
+    blocks, and the two cells at each block edge draw their own kinds, so
+    support cells, exact positives and clamp-edge and NaN predictions fall on
+    both sides of block edges.
+    """
+    block = draw(st.sampled_from(BLOCKS))
+    c, h = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    wide = block // (c * h) + 1  # the narrowest width whose grid spans two blocks
+    shape = (c, h, draw(st.integers(1, 12) | st.integers(wide, 3 * wide)))
     r = rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["mixed", "no positives", "all positives", "all zero"]))
     u = r.random(shape)
@@ -132,11 +148,16 @@ def focal_cases(draw):
     pred = r.uniform(-0.1, 1.1, size=shape)
     edge = r.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
     pred[edge] = r.choice(EDGES, size=int(edge.sum()))
+    starts = np.arange(block, pred.size, block)
+    near = np.concatenate([starts - 1, starts])  # the last cell of a block and the first of the next
+    if kind == "mixed":  # zero, support or exact positive
+        y.flat[near] = np.choose(r.integers(0, 3, near.size), [0.0, r.random(near.size), 1.0])
+    pred.flat[near] = np.where(r.random(near.size) < 0.5, r.choice(EDGES, size=near.size), pred.flat[near])
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     params = draw(
         st.sampled_from([FocalParams(), FocalParams(alpha=1.5, beta=2.5), FocalParams(alpha=3.0, beta=0.0)])
     )
-    return DenseGrid(pred.astype(dtype)), DenseGrid(y), params
+    return DenseGrid(pred.astype(dtype)), DenseGrid(y), params, block
 
 
 def canonical_bytes(values) -> bytes:
@@ -151,16 +172,45 @@ def canonical_bytes(values) -> bytes:
     return out.tobytes()
 
 
+def bench_like_case():
+    """An 80x128x128 float32 prediction 0.9 y + 0.1 u around the target y encoded from a 512x512 scene."""
+    ds = make_dataset(3, num_images=1, max_objects=60, num_classes=80, image_w=512, image_h=512)
+    target = encode_detection(ds.annotations, EncoderConfig(input_w=512, input_h=512, num_classes=80)).heatmap
+    noise = rng(8).random(target.data.shape, dtype=np.float32)
+    return DenseGrid((0.9 * target.data + 0.1 * noise).astype(np.float32)), target
+
+
 class TestFocalMatchesReference:
     @given(case=focal_cases())
     @settings(max_examples=400, deadline=None)
     def test_value_and_gradient_bytes(self, case):
-        pred, target, params = case
-        value, grad = focal_loss(pred, target, params)
+        pred, target, params, block = case
+        with mock.patch.object(losses, "_FOCAL_BLOCK", block):
+            value, grad = focal_loss(pred, target, params)
         ref_value, ref_grad = reference_focal_loss(pred, target, params)
         assert canonical_bytes(value) == canonical_bytes(ref_value)
         assert grad.data.dtype == ref_grad.data.dtype and grad.data.shape == ref_grad.data.shape
         assert canonical_bytes(grad.data) == canonical_bytes(ref_grad.data)
+
+    def test_bench_like_grid_bytes(self):
+        pred, target = bench_like_case()
+        assert target.data.size > 40 * losses._FOCAL_BLOCK and np.count_nonzero(target.data == 1.0) > 20
+        value, grad = focal_loss(pred, target)
+        ref_value, ref_grad = reference_focal_loss(pred, target)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.data.tobytes() == ref_grad.data.tobytes()
+
+
+def test_focal_memory_is_two_grids():
+    """The gradient and the negative terms are the only full-size float64 arrays focal_loss allocates."""
+    pred, target = bench_like_case()
+    tracemalloc.start()
+    try:
+        focal_loss(pred, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pred.data.size * 8
 
 
 class TestMaskedL1:
