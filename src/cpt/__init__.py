@@ -25,8 +25,8 @@ from .decode import (
 )
 from .errors import CptError, InputError, InternalError
 from .evaluate import EvalReport, MatchResult, average_precision, evaluate_detections, match_detections
-from .geometry import AnchorConfig, Box, anchor_grid, greedy_nms, iou, iou_matrix, resize_shorter
-from .grid import DenseGrid, Peak, extract_peaks, gaussian_radius, gaussian_sigma, max_pool_3x3, render_gaussian
+from .geometry import AnchorConfig, anchor_grid, greedy_nms, iou, iou_matrix, resize_shorter
+from .grid import DenseGrid, Peak, extract_peaks, gaussian_radius, gaussian_sigma, render_gaussian
 from .losses import (
     FocalParams,
     GradcheckReport,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorConfig",
     "AnchorReport",
-    "Box",
     "CategoryInfo",
     "CollisionPair",
     "CollisionRecord",
@@ -116,7 +115,6 @@ __all__ = [
     "load_dataset",
     "masked_l1",
     "match_detections",
-    "max_pool_3x3",
     "orientation_loss",
     "principal_angle",
     "read_grid",

@@ -122,7 +122,6 @@ def _cmd_decode(args) -> int:
             joint_thresh=args.joint_thresh,
             size_units=args.units,
             stride=args.stride,
-            candidates_from_peaks=not args.joint_candidates_all_cells,
         )
     else:
         dets = decode_boxes(
@@ -335,8 +334,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--joint-heatmap")
     p.add_argument("--joint-local-offset")
     p.add_argument("--joint-thresh", type=float, default=0.1)
-    p.add_argument("--joint-candidates-all-cells", action="store_true",
-                   help="joint candidates from every cell above the threshold instead of peaks")
     p.add_argument("--top-k", type=int, default=100)
     p.add_argument("--per-class-top-k", action="store_true", help="apply the cap per class instead of globally")
     p.add_argument("--units", choices=("pixels", "cells"), default="pixels")

@@ -43,12 +43,6 @@ class Dataset:
     def num_classes(self) -> int:
         return len(self.categories)
 
-    def image_by_id(self, image_id: int) -> ImageInfo:
-        for img in self.images:
-            if img.id == image_id:
-                return img
-        raise InputError(f"unknown image id {image_id}")
-
     def annotations_by_image(self) -> dict[int, list[ObjectAnnotation]]:
         out: dict[int, list[ObjectAnnotation]] = {img.id: [] for img in self.images}
         for ann in self.annotations:

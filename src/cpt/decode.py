@@ -161,32 +161,15 @@ def to_input_space(det: Detection, stride: int) -> Detection:
 
 
 def _joint_candidates(
-    joint_heatmap: DenseGrid,
-    local_offset: DenseGrid,
-    top_k: int,
-    joint_thresh: float,
-    from_peaks: bool,
-    refine: bool,
-) -> list[list[tuple[float, float, int, int]]]:
-    """Per joint type: candidate (x, y, cell_x, cell_y), score-ordered, above threshold."""
-    k = joint_heatmap.channels
-    if from_peaks:
-        raw = extract_peaks(joint_heatmap, top_k, per_channel=True)
-    else:
-        cs, ys, xs = np.nonzero(joint_heatmap.data > joint_thresh)
-        scores = joint_heatmap.data[cs, ys, xs].astype(np.float64)
-        order = np.lexsort((xs, ys, cs, -scores))
-        raw = [Peak(int(xs[i]), int(ys[i]), int(cs[i]), float(scores[i])) for i in order]
-    candidates: list[list[tuple[float, float, int, int]]] = [[] for _ in range(k)]
-    for p in raw:
-        if p.score <= joint_thresh:
-            continue
-        if refine:
+    joint_heatmap: DenseGrid, local_offset: DenseGrid, top_k: int, joint_thresh: float
+) -> list[list[tuple[float, float]]]:
+    """Per joint type: its peaks above joint_thresh, score-ordered, each refined by the local offset."""
+    candidates: list[list[tuple[float, float]]] = [[] for _ in range(joint_heatmap.channels)]
+    for p in extract_peaks(joint_heatmap, top_k, per_channel=True):
+        if p.score > joint_thresh:
             px = p.x + float(local_offset.data[0, p.y, p.x])
             py = p.y + float(local_offset.data[1, p.y, p.x])
-        else:
-            px, py = float(p.x), float(p.y)
-        candidates[p.channel].append((px, py, p.x, p.y))
+            candidates[p.channel].append((px, py))
     return candidates
 
 
@@ -201,17 +184,14 @@ def decode_pose(
     joint_thresh: float = 0.1,
     size_units: str = "cells",
     stride: int = 4,
-    candidates_from_peaks: bool = True,
-    refine_before_snap: bool = True,
 ) -> list[Detection]:
     """Person detections with joints: center-regressed, then snapped to heatmap joints.
 
     Each regressed joint snaps to the nearest candidate of its type lying
     inside the person's box (boundary inclusive); with no such candidate the
-    regressed location is kept and tagged. Candidates come from per-channel
-    heatmap peaks above the confidence threshold (or every cell above it,
-    when candidates_from_peaks is off), refined by the local offset before
-    the distance test by default.
+    regressed location is kept and tagged. Candidates are each joint
+    channel's heatmap peaks above the confidence threshold, refined by the
+    local offset before the distance test.
     """
     if heatmap.channels != 1:
         raise InputError(f"pose decoding expects the 1-channel person heatmap, got {heatmap.channels}")
@@ -224,9 +204,7 @@ def decode_pose(
     _check_spatial("joint local offset", joint_local_offset, heatmap, 2)
 
     peaks = extract_peaks(heatmap, top_k)
-    candidates = _joint_candidates(
-        joint_heatmap, joint_local_offset, top_k, joint_thresh, candidates_from_peaks, refine_before_snap
-    )
+    candidates = _joint_candidates(joint_heatmap, joint_local_offset, top_k, joint_thresh)
 
     dets = []
     for peak in peaks:
@@ -238,20 +216,13 @@ def decode_pose(
             ly = peak.y + float(joints_map.data[2 * j + 1, peak.y, peak.x])
             best = None
             best_d2 = math.inf
-            for px, py, cx_cell, cy_cell in candidates[j]:
+            for px, py in candidates[j]:
                 if not (x1 <= px <= x2 and y1 <= py <= y2):
                     continue
                 d2 = (px - lx) ** 2 + (py - ly) ** 2
                 if d2 < best_d2:
                     best_d2 = d2
-                    best = (px, py, cx_cell, cy_cell)
-            if best is None:
-                joints.append(Joint(lx, ly, REGRESSED))
-            elif refine_before_snap:
-                joints.append(Joint(best[0], best[1], SNAPPED))
-            else:
-                sx = best[2] + float(joint_local_offset.data[0, best[3], best[2]])
-                sy = best[3] + float(joint_local_offset.data[1, best[3], best[2]])
-                joints.append(Joint(sx, sy, SNAPPED))
+                    best = Joint(px, py, SNAPPED)
+            joints.append(Joint(lx, ly, REGRESSED) if best is None else best)
         dets.append(Detection(category=peak.channel, score=peak.score, box=box, center=center, joints=joints))
     return dets

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -11,13 +11,6 @@ from .errors import InputError
 
 if TYPE_CHECKING:
     from .decode import Detection
-
-
-class Box(NamedTuple):
-    x1: float
-    y1: float
-    x2: float
-    y2: float
 
 
 def iou(a, b) -> float:

@@ -1,16 +1,13 @@
-"""Dense multi-channel grids: Gaussian splatting, max pooling, peak extraction.
+"""Dense multi-channel grids: Gaussian splatting and peak extraction.
 
 All functions are pure except render_gaussian, which splats into the grid it
-is given and returns that same grid; the others never mutate their inputs
-and return fresh grids.
+is given and returns that same grid.
 Grid data is stored as a numpy array of shape (channels, height, width),
 row-major with the channel axis outermost.
 
 Peak extraction costs one pass for the row maxima, then a peak mask only on
 the rows whose maximum can still reach the top-k, so beyond that pass its
 cost follows the rows that can hold a kept peak, not the grid size.
-max_pool_3x3 is the whole-grid form of the same neighborhood and is not on
-that path.
 """
 from __future__ import annotations
 
@@ -151,22 +148,6 @@ def gaussian_radius(box_w: float, box_h: float, min_overlap: float = 0.7) -> flo
 def gaussian_sigma(box_w: float, box_h: float, min_overlap: float = 0.7) -> float:
     """Size-adaptive standard deviation: displacement radius / 3, floored at MIN_RADIUS / 3."""
     return max(gaussian_radius(box_w, box_h, min_overlap), MIN_RADIUS) / 3.0
-
-
-def max_pool_3x3(grid: DenseGrid) -> DenseGrid:
-    """Per-channel 3x3 max pool with the neighborhood clipped at grid borders.
-
-    Separable: a 3-max along each row, then a 3-max along each column of
-    that. NaN propagates to every cell whose neighborhood holds one.
-    """
-    d = grid.data
-    rows = d.copy()
-    np.maximum(rows[:, :, 1:], d[:, :, :-1], out=rows[:, :, 1:])
-    np.maximum(rows[:, :, :-1], d[:, :, 1:], out=rows[:, :, :-1])
-    out = rows.copy()
-    np.maximum(out[:, 1:, :], rows[:, :-1, :], out=out[:, 1:, :])
-    np.maximum(out[:, :-1, :], rows[:, 1:, :], out=out[:, :-1, :])
-    return DenseGrid(out)
 
 
 def _row_peaks(rows: np.ndarray, height: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -97,13 +97,14 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     if pred.data.shape != target.data.shape:
         raise InputError(f"shape mismatch: pred {pred.data.shape} vs target {target.data.shape}")
     y = target.data.astype(np.float64, copy=False).ravel()
-    if not (y.min() >= 0.0 and y.max() <= 1.0):
-        raise InputError("target heatmap values must lie in [0, 1]")
     raw = pred.data.ravel()
     a, b, eps = params.alpha, params.beta, params.eps
 
+    # every cell off the support is +-0, and NaN != 0, so checking the support checks the target
     sup = np.flatnonzero(y != 0.0)
     ys = y[sup]
+    if not np.all((ys >= 0.0) & (ys <= 1.0)):
+        raise InputError("target heatmap values must lie in [0, 1]")
     pen = (1.0 - ys) ** b
     pos = sup[ys == 1.0]
     n = max(pos.size, 1)
@@ -253,12 +254,6 @@ def dim_loss(pred: np.ndarray, dims: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.abs(diff).sum() / n), np.sign(diff) / n
 
 
-def _softmax2(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    e = np.exp(logits - m)
-    return e / e.sum()
-
-
 def orientation_loss(pred: np.ndarray, yaws: np.ndarray) -> tuple[float, np.ndarray]:
     """Two-bin orientation loss: per-bin softmax cross-entropy plus in-bin L1.
 
@@ -281,11 +276,11 @@ def orientation_loss(pred: np.ndarray, yaws: np.ndarray) -> tuple[float, np.ndar
             base = 4 * i
             logits = pred[k, base : base + 2]
             label = int(target[base + 1])  # 1 when the yaw lies in bin i
-            p = _softmax2(logits)
             m = logits.max()
-            lse = m + math.log(np.exp(logits - m).sum())
-            total += lse - logits[label]
-            g = p.copy()
+            e = np.exp(logits - m)
+            s = e.sum()
+            total += m + math.log(s) - logits[label]
+            g = e / s
             g[label] -= 1.0
             grad[k, base : base + 2] = g / n
             if label == 1:

@@ -61,6 +61,13 @@ def naive_max_pool_3x3(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def shifted_max_pool_3x3(data: np.ndarray) -> np.ndarray:
+    """3x3 max pool with border clipping: the max of the nine shifted windows of a -inf-padded copy."""
+    padded = np.pad(data, ((0, 0), (1, 1), (1, 1)), mode="constant", constant_values=-np.inf)
+    h, w = data.shape[1], data.shape[2]
+    return np.max([padded[:, dy : dy + h, dx : dx + w] for dy in (0, 1, 2) for dx in (0, 1, 2)], axis=0)
+
+
 def eight_neighbor_peak_mask(data: np.ndarray) -> np.ndarray:
     """Cells >= all 8-connected in-grid neighbors, via shifted comparisons."""
     padded = np.pad(data, ((0, 0), (1, 1), (1, 1)), mode="constant", constant_values=-np.inf)

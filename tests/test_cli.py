@@ -38,8 +38,13 @@ def test_unknown_subcommand_exit_1(capsys):
 
 
 def test_unknown_flag_exit_1(capsys):
-    assert run(["collisions", "--warp", "x.json"]) == 1
-    assert "usage" in capsys.readouterr().err.lower()
+    # decode has no --joint-candidates-all-cells: parsing must fail before any file is read
+    for argv in (
+        ["collisions", "--warp", "x.json"],
+        ["decode", "--heatmap", "h", "--offset", "o", "--size", "s", "--joint-candidates-all-cells"],
+    ):
+        assert run(argv) == 1, argv
+        assert "usage" in capsys.readouterr().err.lower(), argv
 
 
 def test_missing_file_exit_1(capsys):

@@ -107,8 +107,13 @@ class TestFocalLoss:
             focal_loss(DenseGrid.zeros(2, 2), DenseGrid.zeros(3, 2))
 
     def test_target_range_validated(self):
-        with pytest.raises(InputError):
-            focal_loss(grid1(0.5), grid1(1.5))
+        for bad in (-0.5, 1.5, np.inf, -np.inf, np.nan):
+            with pytest.raises(InputError, match=r"\[0, 1\]"):
+                focal_loss(grid1(0.5), grid1(bad))
+        # an empty support, +0 or -0 in every cell, is in range
+        for zero in (0.0, -0.0):
+            target = DenseGrid(np.full((2, 3, 4), zero))
+            assert focal_loss(DenseGrid(np.full((2, 3, 4), 0.5)), target)[0] > 0.0
 
     def test_nan_target_rejected(self):
         target = DenseGrid(np.array([[[1.0, np.nan, 0.0]]]))
