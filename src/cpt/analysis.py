@@ -6,11 +6,12 @@ per image and category; anchor assignment follows the single-level grid with
 the image resized so its shorter edge hits the configured length.
 
 The forced-anchor fast path factors each anchor shape's overlaps over the two
-axes and evaluates a box only on the anchors that can hold its best IoU: the
-positions within DELTA of each axis's overlap maximum, in the shapes whose
-IoU upper bound reaches an IoU some anchor attains. That costs O(B·(W + H))
-per shape for B boxes on W×H anchor positions, plus the surviving windows,
-which hold about 0.05% of all box-anchor pairs on synthetic 640×480 scenes.
+axes and evaluates a box only on the anchors that can hold its best IoU: a
+closed-form window per axis around the plateau where the overlap peaks, in the
+shapes whose IoU bound reaches an attained IoU. For K shapes, B boxes and W×H
+positions that costs O(K·B) for the windows, O(K·(W + H)) for the anchor edges
+and the anchors in the windows kept: about 1,330 per image, 0.1% of all
+box-anchor pairs, on the synthetic 640×480 benchmark scenes.
 Its oracle is the dense IoU matrix of every box against all anchors.
 """
 from __future__ import annotations
@@ -31,9 +32,8 @@ SMALL_MAX_AREA = 32.0**2
 MEDIUM_MAX_AREA = 96.0**2
 BUCKETS = ("small", "medium", "large")
 
-# relative slack of the forced-anchor window and shape tests. It must exceed the
-# change of an anchor's area with its position (a few ulp); beyond that a larger
-# value only evaluates more anchors.
+# relative slack of the forced-anchor windows, which widen each plateau by DELTA·(last center + half anchor side). It
+# must exceed the rounding of edges, widths and indices (72 ulp, see _max_anchor_ious_fast); more only costs anchors.
 DELTA = 1e-9
 
 # box-anchor pairs per chunk of the dense oracle: 8 MB per float64 temporary, unless one box has more anchors
@@ -181,75 +181,73 @@ def _anchor_iou(inter: np.ndarray, box_area: np.ndarray, anchor_area: np.ndarray
     return np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
-def _window(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first, length, max) along the last axis of the span of overlaps within DELTA of their max.
-
-    Overlap is concave in anchor position, so the near-max positions form one
-    run; spanning from the first to the last of them keeps the window whole
-    even where rounding breaks that run.
-    """
-    best = overlap.max(axis=-1)
-    near = overlap >= (best * (1.0 - DELTA))[..., None]
-    first = near.argmax(axis=-1)
-    return first, overlap.shape[-1] - near[..., ::-1].argmax(axis=-1) - first, best
-
-
 def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
     """Max IoU over all anchors, evaluated only on the anchors that can hold it.
 
-    Within one anchor shape the intersection is ox[x]·oy[y], the product of
-    per-axis overlap lengths, and IoU grows with it: anchor sides change with
-    position by at most an ulp of the image extent, far below DELTA of any
-    anchor long enough to overlap a box at two positions. An anchor whose ox
-    (or oy) is below (1 − DELTA) times its maximum therefore cannot hold the
-    best IoU, and each (box, shape) needs only the window of positions near
-    both axis maxima. A shape is skipped when its bound
-    imax / (box area + smallest anchor area − imax), with imax the largest
-    intersection, falls short of an IoU that some anchor attains. The
-    surviving windows are evaluated with the arithmetic of iou_matrix, so the
-    result equals the dense oracle bit for bit. Cost per shape: O(B·(W + H))
-    for the windows, plus the anchors in the surviving windows.
+    Per axis and shape: stride S, exact centers c = S/2 + S·i (sides < 2**52),
+    anchor_grid's half side h, edges a1 = fl(c − h), a2 = fl(c + h), width
+    aw = fl(a2 − a1), box edges b1 ≤ b2 (else no overlap), T = c_max + h,
+    u = 2**-53, overlap ox = max(fl(min(a2, b2) − max(a1, b1)), 0) and IoU
+    fl(I / fl(fl(Ab + A) − I)), I = fl(ox·oy), A = fl(aw·ah), all monotone.
+
+    Windows. The exact overlap peaks on the plateau of centers lo..hi between
+    b1 + h and b2 − h. Below lo, a2 ≤ b2 and a1 ≤ b1, so ox = fl(a2 − b1),
+    exactly c + h − b1, rising by S per step; above hi it falls likewise. With
+    lo clamped to ≤ c_max + S, hi to ≥ c_0 − S and D = DELTA·T, the window is
+    floor((lo − D − S/2)/S) to ceil((hi + D − S/2)/S), clipped to the grid.
+    Let i lie left of it with IoU(i, j) > 0, k be the last center below lo (or
+    the last center): the window holds k, c_k ≥ lo − S. A left part needs
+    lo ≥ 0, so lo ≤ 3T and lo, D and the index err by < 12u·T: c_k − c_i ≥
+    D − 12u·T ≥ 60u·T, as DELTA = 1e-9 is 1e5 times 72u. Edges, overlaps and
+    widths are within 4u·T of exact, so from i to k ox grows by ≥ c_k − c_i −
+    8u·T while aw moves by ≤ 8u·T, a small part of aw > c_k − c_i. That beats
+    the 14u·aw that IoU's roundings can hide: IoU(k, j) ≥ IoU(i, j) for every
+    j, unless an area or union at k overflows (those at i are finite). The
+    right side and the y axis (x fixed) repeat this, so the windows hold an
+    anchor attaining each shape's maximum.
+
+    Shapes. lower, the largest IoU at a window's middle anchor, is attained.
+    As fl(min(a2, b2) − max(a1, b1)) ≤ min(fl(a2 − a1), fl(b2 − b1)), a shape's
+    IoUs are ≤ upper = imax / (Ab + A_min − imax), imax = fl(min(max aw, bw)·
+    min(max ah, bh)). Shapes with imax = 0 or upper < lower are skipped (a NaN
+    bound never is); the rest get iou_matrix's arithmetic, as in the oracle.
     """
-    xs = anchor_positions(image_w, cfg.stride)
-    ys = anchor_positions(image_h, cfg.stride)
-    bx1, by1, bx2, by2 = (boxes[:, k, None] for k in range(4))
-    box_area = ((bx2 - bx1) * (by2 - by1))[:, 0]
-    shapes = anchor_shapes(cfg)
-    ox = np.empty((len(shapes), boxes.shape[0], len(xs)))
-    oy = np.empty((len(shapes), boxes.shape[0], len(ys)))
-    aw = np.empty((len(shapes), len(xs)))
-    ah = np.empty((len(shapes), len(ys)))
-    for s, (w, h) in enumerate(shapes):
-        ax1, ax2 = xs - w / 2.0, xs + w / 2.0
-        ay1, ay2 = ys - h / 2.0, ys + h / 2.0
-        aw[s], ah[s] = ax2 - ax1, ay2 - ay1
-        ox[s] = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
-        oy[s] = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
-    # (shape, box) arrays from here on
-    x0, nx, mx = _window(ox)
-    y0, ny, my = _window(oy)
-    # the IoU at each window's first anchor, attained by that anchor, bounds the best one from below
-    inter = np.take_along_axis(ox, x0[..., None], 2)[..., 0] * np.take_along_axis(oy, y0[..., None], 2)[..., 0]
-    area = np.take_along_axis(aw, x0, 1) * np.take_along_axis(ah, y0, 1)
-    lower = _anchor_iou(inter, box_area, area).max(axis=0)
-    imax = mx * my
+    shapes, s = anchor_shapes(cfg), cfg.stride
+    xs, ys = anchor_positions(image_w, s), anchor_positions(image_h, s)
+    # one (shape, position) table of anchor edges for both axes: the x positions, then the y positions
+    half = np.repeat(shapes / 2.0, (len(xs), len(ys)), axis=1)
+    a1, a2 = np.concatenate((xs, ys)) - half, np.concatenate((xs, ys)) + half
+    widths = a2 - a1
+    # (axis, shape, box) arrays from here on; windows index the flattened table
+    b1, b2 = np.ascontiguousarray(boxes.T).reshape(2, 2, -1)  # rows (x1, y1) and (x2, y2)
+    half = (shapes / 2.0).T[:, :, None]
+    c_max = np.array((xs[-1], ys[-1]))[:, None, None]
+    lo = np.minimum(np.minimum(b1[:, None] + half, b2[:, None] - half), c_max + s)
+    hi = np.maximum(np.maximum(b1[:, None] + half, b2[:, None] - half), -s / 2.0)
+    slack, n = DELTA * (c_max + half), np.array((len(xs) - 1, len(ys) - 1))[:, None, None]
+    row = np.arange(len(shapes))[:, None] * a1.shape[1] + np.array((0, len(xs)))[:, None, None]
+    first = (np.minimum(np.maximum(np.floor((lo - slack - s / 2.0) / s), 0.0), n) + row).astype(np.intp)
+    last = (np.minimum(np.maximum(np.ceil((hi + slack - s / 2.0) / s), 0.0), n) + row).astype(np.intp)
+    box_area = (b2 - b1).prod(axis=0)
+    mid = (first + last) // 2
+    o = np.maximum(np.minimum(a2.take(mid), b2[:, None]) - np.maximum(a1.take(mid), b1[:, None]), 0.0)
+    lower = _anchor_iou(o[0] * o[1], box_area, widths.take(mid).prod(axis=0)).max(axis=0)
+    imax = np.minimum(np.maximum.reduceat(widths, (0, len(xs)), axis=1).T[:, :, None], (b2 - b1)[:, None]).prod(axis=0)
+    a_min = np.minimum.reduceat(widths, (0, len(xs)), axis=1).prod(axis=1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        upper = imax / (box_area + (aw.min(axis=1) * ah.min(axis=1))[:, None] - imax)
-    # a NaN or inf bound (zero union) never skips its shape
-    keep = (mx > 0.0) & (my > 0.0) & ~(upper * (1.0 + DELTA) < lower)
-    shape_of, box_of = np.nonzero(keep)
-    best = np.zeros(boxes.shape[0])
-    if not len(box_of):
-        return best
-    x0, nx, y0, ny = x0[keep], nx[keep], y0[keep], ny[keep]
-    sizes = nx * ny
+        upper = imax / (box_area + a_min - imax)
+    keep = (imax > 0.0) & ~(upper < lower)
+    # the anchors of each kept (shape, box) window, x-major
+    box_of, first = np.nonzero(keep)[1], first[:, keep]
+    ny = last[1][keep] - first[1] + 1
+    sizes = (last[0][keep] - first[0] + 1) * ny
     starts = np.cumsum(sizes) - sizes
     pair = np.repeat(np.arange(len(sizes)), sizes)
-    local = np.arange(starts[-1] + sizes[-1]) - starts[pair]
-    ix = x0[pair] + local // ny[pair]
-    iy = y0[pair] + local % ny[pair]
-    s, b = shape_of[pair], box_of[pair]
-    ious = _anchor_iou(ox[s, b, ix] * oy[s, b, iy], box_area[b], aw[s, ix] * ah[s, iy])
+    at = first.take(pair, axis=1) + np.divmod(np.arange(len(pair)) - starts.take(pair), ny.take(pair))
+    b = box_of.take(pair)
+    o = np.maximum(np.minimum(a2.take(at), b2.take(b, axis=1)) - np.maximum(a1.take(at), b1.take(b, axis=1)), 0.0)
+    ious = _anchor_iou(o[0] * o[1], box_area.take(b), widths.take(at).prod(axis=0))
+    best = np.zeros(boxes.shape[0])
     np.maximum.at(best, box_of, np.maximum.reduceat(ious, starts))
     return best
 
@@ -294,6 +292,8 @@ def count_forced_assignments(
                 f"image {img.id} resizes to {w:g}x{h:g}, which holds no anchor center at stride {cfg.stride}: "
                 f"each side must be >= stride / 2"
             )
+        if max(w, h) >= 2.0**52:  # anchor centers S/2 + S·i are exact below 2**52
+            raise InputError(f"image {img.id} resizes to {w:g}x{h:g}: each side must be < 2**52 for exact anchor centers")
         boxes = np.array([a.bbox for a in anns], dtype=np.float64) * scale
         max_ious = max_anchor_ious(boxes, w, h, cfg)
         forced.extend(a for a, v in zip(anns, max_ious) if v < iou_thresh)

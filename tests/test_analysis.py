@@ -1,4 +1,5 @@
 """Annotation analyses: collision counters and forced anchor assignments."""
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,22 @@ class TestForcedAssignments:
             assert _max_anchor_ious_oracle(boxes, 100.0, 80.0, cfg).tobytes() == whole.tobytes()
         assert _max_anchor_ious_oracle(boxes[:0], 100.0, 80.0, cfg).shape == (0,)
 
+    def test_fast_memory_does_not_grow_with_the_grid(self):
+        """Small boxes on a 20,000 px wide image: no table over (shape, box, anchor position)."""
+        r = rng(41)
+        xy = r.uniform(0.0, [19936.0, 736.0], size=(200, 2))
+        boxes = np.concatenate([xy, xy + r.uniform(1.0, 64.0, size=(200, 2))], axis=1)
+        cfg = AnchorConfig()
+        one_table = len(anchor_shapes(cfg)) * len(boxes) * len(anchor_positions(20000.0, cfg.stride)) * 8
+        tracemalloc.start()
+        try:
+            best = _max_anchor_ious_fast(boxes, 20000.0, 800.0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * one_table
+        assert best[:4].tobytes() == _max_anchor_ious_oracle(boxes[:4], 20000.0, 800.0, cfg).tobytes()
+
     @given(case=st.data())
     @settings(max_examples=300, deadline=None)
     def test_fast_max_ious_bit_identical_to_oracle(self, case):
@@ -242,37 +259,76 @@ class TestForcedAssignments:
         assert fast.tobytes() == _max_anchor_ious_oracle(boxes, image_w, image_h, cfg).tobytes()
 
 
+def _ulps(value, k):
+    """value moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        value = float(np.nextafter(value, np.inf if k > 0 else -np.inf))
+    return value
+
+
 @st.composite
 def anchor_cases(draw):
     """(boxes, image_w, image_h, cfg): grids of at most 24x24 positions, boxes of any size and place.
 
-    Boxes run from 1e-3 px to past every anchor, lie partly or wholly outside
-    the image, collapse to zero width or height, or sit on the anchor lattice
-    (an anchor itself, or corners on half-stride multiples) for exact ties.
+    Anchor sides run from 1e-3 to 1e6 px, most of them 1 to 200 px, at
+    strides up to 64 on grids as short as one position. Boxes run from 1e-3 px
+    to past every anchor, or take an anchor's shape scaled by 1/2 to 2 within
+    a step of a center; lie partly outside the image or wholly left of, right
+    of, above or below the grid; collapse to zero width or height; sit on the
+    anchor lattice (an anchor itself, or corners on half-stride multiples) for
+    exact ties; or put a plateau edge (a box side plus or minus half an anchor
+    side) on a grid center or within an ulp of one.
     """
-    stride = draw(st.integers(1, 33))
-    sizes = draw(st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4))
+    stride = draw(st.integers(1, 64))
+    sizes = draw(st.lists(st.floats(1.0, 200.0) | st.floats(-3.0, 6.0).map(lambda e: 10.0**e), min_size=1, max_size=4))
     ratios = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.2, 5.0), min_size=1, max_size=3))
     cfg = AnchorConfig(sizes=tuple(sizes), ratios=tuple(ratios), stride=stride)
-    image_w, image_h = (draw(st.floats(stride / 2.0, stride * 24.0)) for _ in range(2))
-    xs, ys, shapes = anchor_positions(image_w, stride), anchor_positions(image_h, stride), anchor_shapes(cfg)
+    image_w, image_h = (draw(st.floats(stride / 2.0, stride * draw(st.sampled_from([1.0, 3.0, 24.0])))) for _ in range(2))
+    extents = (image_w, image_h)
+    centers = (anchor_positions(image_w, stride), anchor_positions(image_h, stride))
+    shapes = anchor_shapes(cfg)
     boxes = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["free", "anchor", "half_stride", "zero_width", "zero_height"]))
+        kind = draw(st.sampled_from(["free", "near_anchor", "anchor", "half_stride", "zero_width", "zero_height", "outside", "plateau_edge"]))
         if kind == "anchor":
             w, h = shapes[draw(st.integers(0, len(shapes) - 1))]
-            cx, cy = xs[draw(st.integers(0, len(xs) - 1))], ys[draw(st.integers(0, len(ys) - 1))]
+            cx, cy = (c[draw(st.integers(0, len(c) - 1))] for c in centers)
             boxes.append([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0])
             continue
         cx = draw(st.floats(-0.5 * image_w, 1.5 * image_w))
         cy = draw(st.floats(-0.5 * image_h, 1.5 * image_h))
-        w, h = (10.0 ** draw(st.floats(-3.0, 3.3)) for _ in range(2))
+        if kind == "near_anchor":  # an anchor's shape scaled by 1/2 to 2, within a step of a center: IoUs near any threshold
+            w, h = (v * 2.0 ** draw(st.floats(-1.0, 1.0)) for v in shapes[draw(st.integers(0, len(shapes) - 1))])
+            cx, cy = (c[draw(st.integers(0, len(c) - 1))] + stride * draw(st.floats(-1.0, 1.0)) for c in centers)
+        else:
+            w, h = (10.0 ** draw(st.floats(-3.0, 3.3)) for _ in range(2))
         box = [cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0]
+        axis = draw(st.integers(0, 1))
+        side = (w, h)[axis]
         if kind == "half_stride":
             box = [round(v / (stride / 2.0)) * (stride / 2.0) for v in box]
         elif kind == "zero_width":
             box[2] = box[0]
         elif kind == "zero_height":
             box[3] = box[1]
+        elif kind == "outside":
+            # wholly before the first anchor center or past the image's far edge on one axis
+            gap = draw(st.floats(0.0, 2.0 * extents[axis]))
+            if draw(st.booleans()):
+                box[axis + 2] = min(stride / 2.0, extents[axis]) - gap
+                box[axis] = box[axis + 2] - side
+            else:
+                box[axis] = extents[axis] + gap
+                box[axis + 2] = box[axis] + side
+        elif kind == "plateau_edge":
+            half = shapes[draw(st.integers(0, len(shapes) - 1))][axis] / 2.0
+            c = centers[axis][draw(st.integers(0, len(centers[axis]) - 1))]
+            k = draw(st.integers(-1, 1))
+            if draw(st.booleans()):  # b1 + half on c
+                box[axis] = _ulps(c - half, k)
+                box[axis + 2] = box[axis] + side
+            else:  # b2 - half on c
+                box[axis + 2] = _ulps(c + half, k)
+                box[axis] = box[axis + 2] - side
         boxes.append(box)
     return np.array(boxes, dtype=np.float64), image_w, image_h, cfg

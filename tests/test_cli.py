@@ -507,6 +507,8 @@ def _unit_grids(tmp_path):
         ("decode_pose", ["--joint-thresh", "inf"], "joint_thresh must be finite"),
         ("anchors", ["--resize-shorter", "4"], "resizes to 4x4, which holds no anchor center at stride 16"),
         ("anchors", ["--resize-shorter", "4", "--oracle"], "resizes to 4x4, which holds no anchor center at stride 16"),
+        ("anchors", ["--resize-shorter", "1e300"], "x1e+300: each side must be < 2**52 for exact anchor centers"),
+        ("anchors", ["--resize-shorter", "1e300", "--oracle"], "x1e+300: each side must be < 2**52 for exact anchor centers"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):
