@@ -155,23 +155,45 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     return float(value), DenseGrid(grad.reshape(pred.data.shape))
 
 
-def _l1_at_cells(pred: DenseGrid, entries, n: int) -> tuple[float, DenseGrid]:
-    """Sum of weighted absolute residuals at supervised cells, averaged over n records.
+def _read_cells(pred: DenseGrid, records) -> tuple[np.ndarray, tuple]:
+    """Every channel of pred at each record's cell as (N, channels) float64 rows, and the index of those cells.
 
-    entries yields (channel0, cell, target_vector, weight). Gradients from
-    records sharing a cell accumulate; sign(0) is 0.
+    A cell outside the grid is an InputError. The rows are C-contiguous, so a
+    loss's sum over them runs in the order it did over rows stacked one record
+    at a time.
     """
+    xy = np.array([r.cell for r in records], dtype=np.intp).reshape(-1, 2)
+    outside = (xy < 0).any(axis=1) | (xy[:, 0] >= pred.width) | (xy[:, 1] >= pred.height)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise InputError(f"record {k}: cell {tuple(xy[k].tolist())} outside the {pred.width}x{pred.height} grid")
+    at = (slice(None), xy[:, 1], xy[:, 0])
+    return np.ascontiguousarray(pred.data[at].T, dtype=np.float64), at
+
+
+def _write_cells(pred: DenseGrid, at: tuple, rows: np.ndarray) -> DenseGrid:
+    """A zero float64 grid shaped like pred with each row added at its cell, in record order."""
     grad = np.zeros_like(pred.data, dtype=np.float64)
-    if n == 0:
-        return 0.0, DenseGrid(grad)
-    total = 0.0
-    for ch0, (cx, cy), tgt, w in entries:
-        tgt = np.asarray(tgt, dtype=np.float64)
-        p = pred.data[ch0 : ch0 + tgt.size, cy, cx].astype(np.float64)
-        diff = p - tgt
-        total += w * np.abs(diff).sum()
-        grad[ch0 : ch0 + tgt.size, cy, cx] += w * np.sign(diff) / n
-    return float(total / n), DenseGrid(grad)
+    np.add.at(grad, at, rows.T)
+    return DenseGrid(grad)
+
+
+def _weighted_l1(pred: DenseGrid, records, targets, weights) -> tuple[float, DenseGrid]:
+    """Sum of w * (|dx| + |dy|) over 2-channel residuals at the records' cells, averaged over the records.
+
+    Each record's channels split into consecutive (x, y) pairs; targets and
+    weights hold one (x, y) target and one weight per pair, in that order.
+    Gradients from records sharing a cell accumulate; sign(0) is 0.
+    """
+    rows, at = _read_cells(pred, records)
+    diff = rows.reshape(-1, 2) - np.array(targets, dtype=np.float64).reshape(-1, 2)
+    w = np.array(weights, dtype=np.float64).reshape(-1)
+    n = max(len(records), 1)
+    absd = np.abs(diff)
+    # summed in pair order from 0.0, as a loop would: np.sum adds pairwise past 8 terms
+    total = np.cumsum(np.append(0.0, w * (absd[:, 0] + absd[:, 1])))[-1]
+    grad = w[:, None] * np.sign(diff) / n
+    return float(total / n), _write_cells(pred, at, grad.reshape(rows.shape))
 
 
 def masked_l1(pred: DenseGrid, objects: Sequence[ObjectTarget], head: str) -> tuple[float, DenseGrid]:
@@ -183,42 +205,26 @@ def masked_l1(pred: DenseGrid, objects: Sequence[ObjectTarget], head: str) -> tu
     """
     if head not in L1_HEADS:
         raise InputError(f"unknown masked_l1 head {head!r}; expected one of {L1_HEADS}")
+    if head != "joint_offset":
+        if pred.channels != 2:
+            raise InputError(f"{head} head expects 2 channels, grid has {pred.channels}")
+        return _weighted_l1(pred, objects, [getattr(obj, head) for obj in objects], np.ones(len(objects)))
     for obj in objects:
-        cx, cy = obj.cell
-        if not (0 <= cx < pred.width and 0 <= cy < pred.height):
-            raise InputError(f"object {obj.index}: cell {obj.cell} outside grid")
-
-    if head == "joint_offset":
-        for obj in objects:
-            if obj.joint_offsets is None:
-                raise InputError(f"object {obj.index}: no pose targets for joint_offset head")
-            if pred.channels != 2 * obj.joint_offsets.shape[0]:
-                raise InputError(
-                    f"joint_offset head expects {2 * obj.joint_offsets.shape[0]} channels, "
-                    f"grid has {pred.channels}"
-                )
-
-        def entries():
-            for obj in objects:
-                for j in range(obj.joint_offsets.shape[0]):
-                    yield 2 * j, obj.cell, obj.joint_offsets[j], float(obj.joint_mask[j])
-        expected = None
-    else:
-        def entries():
-            for obj in objects:
-                yield 0, obj.cell, getattr(obj, head), 1.0
-        expected = 2
-    if expected is not None and pred.channels != expected:
-        raise InputError(f"{head} head expects {expected} channels, grid has {pred.channels}")
-    return _l1_at_cells(pred, entries(), len(objects))
+        if obj.joint_offsets is None:
+            raise InputError(f"object {obj.index}: no pose targets for joint_offset head")
+        if pred.channels != 2 * obj.joint_offsets.shape[0]:
+            raise InputError(
+                f"joint_offset head expects {2 * obj.joint_offsets.shape[0]} channels, "
+                f"grid has {pred.channels}"
+            )
+    return _weighted_l1(pred, objects, [obj.joint_offsets for obj in objects], [obj.joint_mask for obj in objects])
 
 
 def joint_local_offset_loss(pred: DenseGrid, joint_cells: Sequence[JointCell]) -> tuple[float, DenseGrid]:
     """Sub-cell offset L1 at visible joints' cells, averaged over joint records."""
     if pred.channels != 2:
         raise InputError(f"joint local offset head expects 2 channels, grid has {pred.channels}")
-    entries = ((0, jc.cell, np.asarray(jc.offset), 1.0) for jc in joint_cells)
-    return _l1_at_cells(pred, entries, len(joint_cells))
+    return _weighted_l1(pred, joint_cells, [jc.offset for jc in joint_cells], np.ones(len(joint_cells)))
 
 
 def depth_loss(pred: np.ndarray, depths: np.ndarray) -> tuple[float, np.ndarray]:
@@ -290,20 +296,12 @@ def orientation_loss(pred: np.ndarray, yaws: np.ndarray) -> tuple[float, np.ndar
     return float(total / n), grad
 
 
-def _gather(pred: DenseGrid, objects: Sequence[ObjectTarget], channels: int) -> np.ndarray:
-    out = np.empty((len(objects), channels), dtype=np.float64)
-    for k, obj in enumerate(objects):
-        cx, cy = obj.cell
-        out[k] = pred.data[:channels, cy, cx]
-    return out
-
-
-def _scatter(shape, objects: Sequence[ObjectTarget], grad_rows: np.ndarray) -> DenseGrid:
-    grad = np.zeros(shape, dtype=np.float64)
-    for k, obj in enumerate(objects):
-        cx, cy = obj.cell
-        grad[:, cy, cx] += grad_rows[k].reshape(-1)
-    return DenseGrid(grad)
+# the per-object terms read at center cells: (head, channels, ObjectTarget field, loss over the (N, channels) rows)
+_OBJECT_TERMS = (
+    ("depth", 1, "depth", depth_loss),
+    ("dims", 3, "dims3d", dim_loss),
+    ("orientation", 8, "yaw", orientation_loss),
+)
 
 
 def total_loss(
@@ -317,10 +315,18 @@ def total_loss(
     preds maps head names to grids: "heatmap", "offset" and "size" are
     required; "depth" (1 ch), "dims" (3 ch) and "orientation" (8 ch) are
     added, weighted, when both the prediction and per-object targets exist.
+    Every given head must be (channels, grid_h, grid_w) of the target
+    heatmap, with as many heatmap channels as classes.
     """
     for name in ("heatmap", "offset", "size"):
         if name not in preds:
             raise InputError(f"missing required prediction head {name!r}")
+    grid = targets.heatmap.data.shape[1:]
+    channels = {"heatmap": targets.heatmap.channels, "offset": 2, "size": 2}
+    channels.update((head, c) for head, c, _, _ in _OBJECT_TERMS)
+    for head, c in channels.items():
+        if head in preds and preds[head].data.shape != (c, *grid):
+            raise InputError(f"{head} head expects shape {(c, *grid)}, grid has {preds[head].data.shape}")
 
     lk, g_hm = focal_loss(preds["heatmap"], targets.heatmap, focal_params)
     loff, g_off = masked_l1(preds["offset"], targets.objects, "offset")
@@ -335,28 +341,15 @@ def total_loss(
         gradients={"heatmap": g_hm, "offset": g_off, "size": g_size},
     )
 
-    if "depth" in preds:
-        objs = [o for o in targets.objects if o.depth is not None]
-        if objs:
-            raw = _gather(preds["depth"], objs, 1)[:, 0]
-            value, rows = depth_loss(raw, np.array([o.depth for o in objs]))
-            report.depth = value
-            report.gradients["depth"] = _scatter(preds["depth"].data.shape, objs, rows[:, None])
-            report.total += weights.depth * value
-    if "dims" in preds:
-        objs = [o for o in targets.objects if o.dims3d is not None]
-        if objs:
-            value, rows = dim_loss(_gather(preds["dims"], objs, 3), np.array([o.dims3d for o in objs]))
-            report.dims = value
-            report.gradients["dims"] = _scatter(preds["dims"].data.shape, objs, rows)
-            report.total += weights.dims * value
-    if "orientation" in preds:
-        objs = [o for o in targets.objects if o.yaw is not None]
-        if objs:
-            value, rows = orientation_loss(_gather(preds["orientation"], objs, 8), np.array([o.yaw for o in objs]))
-            report.orientation = value
-            report.gradients["orientation"] = _scatter(preds["orientation"].data.shape, objs, rows)
-            report.total += weights.orientation * value
+    for head, c, attr, loss in _OBJECT_TERMS:
+        objs = [o for o in targets.objects if getattr(o, attr) is not None]
+        if head not in preds or not objs:
+            continue
+        rows, at = _read_cells(preds[head], objs)
+        value, grad = loss(rows[:, 0] if c == 1 else rows, np.array([getattr(o, attr) for o in objs]))
+        setattr(report, head, value)
+        report.gradients[head] = _write_cells(preds[head], at, grad.reshape(rows.shape))
+        report.total += getattr(weights, head) * value
     return report
 
 

@@ -198,3 +198,23 @@ def reference_splat(grid: DenseGrid, center: tuple[float, float], channel: int, 
     region = out.data[channel, y0 : y1 + 1, x0 : x1 + 1]
     np.maximum(region, kernel, out=region)
     return out
+
+
+def reference_l1_at_cells(pred: DenseGrid, entries, n: int) -> tuple[float, DenseGrid]:
+    """Sum of weighted absolute residuals at supervised cells, averaged over n records.
+
+    entries yields (channel0, cell, target_vector, weight), one record at a
+    time, summed and accumulated in that order. Gradients from records sharing
+    a cell accumulate; sign(0) is 0.
+    """
+    grad = np.zeros_like(pred.data, dtype=np.float64)
+    if n == 0:
+        return 0.0, DenseGrid(grad)
+    total = 0.0
+    for ch0, (cx, cy), tgt, w in entries:
+        tgt = np.asarray(tgt, dtype=np.float64)
+        p = pred.data[ch0 : ch0 + tgt.size, cy, cx].astype(np.float64)
+        diff = p - tgt
+        total += w * np.abs(diff).sum()
+        grad[ch0 : ch0 + tgt.size, cy, cx] += w * np.sign(diff) / n
+    return float(total / n), DenseGrid(grad)

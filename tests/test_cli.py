@@ -140,6 +140,35 @@ def test_loss_on_ground_truth_predictions(small_dataset, tmp_path, capsys):
     assert (tmp_path / "grads" / "grad_heatmap.cpt").exists()
 
 
+@pytest.mark.parametrize(
+    "head, shape",
+    [
+        ("depth", (3, 12, 16)),
+        ("dims", (8, 12, 16)),
+        ("orientation", (3, 12, 16)),
+        ("size", (2, 24, 32)),
+        ("depth", (1, 6, 8)),
+    ],
+)
+def test_loss_prediction_of_wrong_shape_exit_1(tmp_path, capsys, head, shape):
+    ds = make_dataset(seed=31, num_images=1, max_objects=6, num_classes=2, image_w=64, image_h=48, with_3d=True)
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(dataset_to_json(ds)), encoding="utf-8")
+    manifest = json.loads(run_ok(capsys, ["encode", str(path), "--out", str(tmp_path / "out")]))
+    entry = manifest["images"][0]
+    assert (entry["grid_h"], entry["grid_w"]) == (12, 16)
+    argv = ["loss", "--manifest", str(tmp_path / "out" / "manifest.json"), "--image", str(entry["id"])]
+    for name in ("heatmap", "offset", "size"):
+        argv += [f"--pred-{name}", str(tmp_path / "out" / entry["tensors"][name])]
+    bad = tmp_path / f"pred_{head}.cpt"
+    write_grid(bad, DenseGrid(np.zeros(shape)))
+    argv += [f"--pred-{head}", str(bad)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{head} head expects shape" in captured.err
+
+
 def test_gradcheck_command(capsys):
     out = run_ok(capsys, ["gradcheck", "--seed", "7"])
     report = json.loads(out)

@@ -35,9 +35,9 @@ from cpt.losses import (
     gradcheck_size,
 )
 from cpt.synthetic import make_dataset
-from cpt.targets import ObjectTarget
+from cpt.targets import JointCell, ObjectTarget
 
-from oracles import reference_focal_loss
+from oracles import reference_focal_loss, reference_l1_at_cells
 
 
 def rng(seed=0):
@@ -286,12 +286,65 @@ class TestMaskedL1:
 
 class TestJointLocalOffsetLoss:
     def test_matches_manual_sum(self):
-        from cpt.targets import JointCell
-
         pred = DenseGrid.zeros(4, 4, 2)
         cells = [JointCell(joint=0, cell=(1, 1), offset=(0.5, 0.25)), JointCell(joint=1, cell=(2, 2), offset=(0.0, 0.0))]
         value, _ = joint_local_offset_loss(pred, cells)
         assert value == pytest.approx(0.75 / 2)
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (4, 0), (0, -1), (0, 4)])
+    def test_cell_outside_grid(self, cell):
+        cells = [JointCell(joint=0, cell=(1, 1), offset=(0.5, 0.5)), JointCell(joint=1, cell=cell, offset=(0.5, 0.5))]
+        with pytest.raises(InputError, match=rf"record 1: cell \({cell[0]}, {cell[1]}\) outside the 4x4 grid"):
+            joint_local_offset_loss(DenseGrid.zeros(4, 4, 2), cells)
+
+
+@st.composite
+def l1_cases(draw):
+    """A loss read at cells, its records and the (channel0, cell, target, weight) entries of the reference loop.
+
+    Up to 40 records on at most three distinct cells, so cells are shared and
+    more than 8 terms are summed; some targets equal the prediction exactly
+    (sign 0), and joint masks hold zeros.
+    """
+    head = draw(st.sampled_from(["offset", "size", "joint_offset", "joint_local_offset"]))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    joints = draw(st.integers(1, 4)) if head == "joint_offset" else 1
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    pred = DenseGrid(r.normal(0.0, 2.0, (2 * joints, h, w)).astype(dtype))
+    pool = list(zip(r.integers(0, w, 3).tolist(), r.integers(0, h, 3).tolist()))
+    cells = [pool[i] for i in r.integers(0, len(pool), n)]
+    targets = r.normal(0.0, 2.0, (n, joints, 2))
+    for k, (cx, cy) in enumerate(cells):
+        exact = r.random((joints, 2)) < 0.2
+        targets[k][exact] = pred.data[:, cy, cx].reshape(joints, 2)[exact]
+    masks = r.random((n, joints)) < 0.6
+    if head == "joint_offset":
+        records = [record(cell, joint_offsets=t, joint_mask=m) for cell, t, m in zip(cells, targets, masks)]
+        entries = [(2 * j, cell, t[j], float(m[j])) for cell, t, m in zip(cells, targets, masks) for j in range(joints)]
+    elif head == "joint_local_offset":
+        records = [JointCell(joint=0, cell=cell, offset=tuple(t[0])) for cell, t in zip(cells, targets)]
+        entries = [(0, cell, np.asarray(t[0]), 1.0) for cell, t in zip(cells, targets)]
+    else:
+        records = [record(cell, **{head: tuple(t[0])}) for cell, t in zip(cells, targets)]
+        entries = [(0, cell, tuple(t[0]), 1.0) for cell, t in zip(cells, targets)]
+    return head, pred, records, entries
+
+
+class TestL1MatchesReference:
+    @given(case=l1_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_gradient_bytes(self, case):
+        head, pred, records, entries = case
+        if head == "joint_local_offset":
+            value, grad = joint_local_offset_loss(pred, records)
+        else:
+            value, grad = masked_l1(pred, records, head)
+        ref_value, ref_grad = reference_l1_at_cells(pred, entries, len(records))
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.data.dtype == ref_grad.data.dtype and grad.data.shape == ref_grad.data.shape
+        assert grad.data.tobytes() == ref_grad.data.tobytes()
 
 
 class TestDepthLoss:
