@@ -25,7 +25,7 @@ from .decode import (
 )
 from .errors import CptError, InputError, InternalError
 from .evaluate import EvalReport, MatchResult, average_precision, evaluate_detections, match_detections
-from .geometry import AnchorConfig, anchor_grid, greedy_nms, iou, iou_matrix, resize_shorter
+from .geometry import AnchorConfig, anchor_grid, greedy_nms, iou_matrix, resize_shorter
 from .grid import DenseGrid, Peak, extract_peaks, gaussian_radius, gaussian_sigma, render_gaussian
 from .losses import (
     FocalParams,
@@ -109,7 +109,6 @@ __all__ = [
     "gradcheck",
     "gradcheck_all",
     "greedy_nms",
-    "iou",
     "iou_matrix",
     "joint_local_offset_loss",
     "load_dataset",

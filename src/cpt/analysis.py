@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .geometry import AnchorConfig, anchor_grid, anchor_positions, anchor_shapes, iou, iou_matrix, resize_shorter
+from .geometry import AnchorConfig, _iou, anchor_grid, anchor_positions, anchor_shapes, iou_matrix, resize_shorter
 from .targets import ObjectAnnotation
 
 # COCO size convention, on box area in original-image pixels
@@ -148,9 +148,10 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
     merged: dict[float, list[CollisionPair]] = {t: [] for t in thresholds}
     for image_id, category_id, anns in _groups(ds):
         if oracle:
+            ious = iou_matrix([a.bbox for a in anns], [a.bbox for a in anns]).tolist()
             for i in range(len(anns)):
                 for j in range(i + 1, len(anns)):
-                    v = iou(anns[i].bbox, anns[j].bbox)
+                    v = ious[i][j]
                     for t in thresholds:
                         if v > t:
                             merged[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
@@ -173,12 +174,6 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
         n_iou={t: len(merged[t]) for t in thresholds},
         iou_pairs=merged,
     )
-
-
-def _anchor_iou(inter: np.ndarray, box_area: np.ndarray, anchor_area: np.ndarray) -> np.ndarray:
-    """IoU from intersection and areas with the arithmetic of iou_matrix: 0 unless both are positive."""
-    union = box_area + anchor_area - inter
-    return np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
 def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
@@ -231,7 +226,7 @@ def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg
     box_area = (b2 - b1).prod(axis=0)
     mid = (first + last) // 2
     o = np.maximum(np.minimum(a2.take(mid), b2[:, None]) - np.maximum(a1.take(mid), b1[:, None]), 0.0)
-    lower = _anchor_iou(o[0] * o[1], box_area, widths.take(mid).prod(axis=0)).max(axis=0)
+    lower = _iou(o[0], o[1], box_area, widths.take(mid).prod(axis=0)).max(axis=0)
     imax = np.minimum(np.maximum.reduceat(widths, (0, len(xs)), axis=1).T[:, :, None], (b2 - b1)[:, None]).prod(axis=0)
     a_min = np.minimum.reduceat(widths, (0, len(xs)), axis=1).prod(axis=1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -246,7 +241,7 @@ def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg
     at = first.take(pair, axis=1) + np.divmod(np.arange(len(pair)) - starts.take(pair), ny.take(pair))
     b = box_of.take(pair)
     o = np.maximum(np.minimum(a2.take(at), b2.take(b, axis=1)) - np.maximum(a1.take(at), b1.take(b, axis=1)), 0.0)
-    ious = _anchor_iou(o[0] * o[1], box_area.take(b), widths.take(at).prod(axis=0))
+    ious = _iou(o[0], o[1], box_area.take(b), widths.take(at).prod(axis=0))
     best = np.zeros(boxes.shape[0])
     np.maximum.at(best, box_of, np.maximum.reduceat(ious, starts))
     return best

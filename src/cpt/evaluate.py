@@ -6,7 +6,7 @@ from typing import Sequence
 
 from .decode import Detection
 from .errors import InputError
-from .geometry import iou
+from .geometry import iou_matrix
 from .targets import ObjectAnnotation
 
 
@@ -44,27 +44,24 @@ def match_detections(
     if not 0 < iou_thresh <= 1:
         raise InputError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    # one IoU matrix per image; each detection scans its same-class ground truths at or above the threshold
+    ious = iou_matrix([dets[i].box for i in order], [gt.bbox for gt in gts])
+    rows, cols = (ious >= iou_thresh).nonzero()
+    candidates: dict[int, list[tuple[int, float]]] = {}
+    for r, j, v in zip(rows.tolist(), cols.tolist(), ious[rows, cols].tolist()):
+        if dets[order[r]].category == gts[j].category:
+            candidates.setdefault(r, []).append((j, v))
     gt_matched = [False] * len(gts)
-    is_tp: list[bool] = []
     matched: list[int | None] = []
-    for i in order:
-        det = dets[i]
-        best_iou = 0.0
-        best_j = None
-        for j, gt in enumerate(gts):
-            if gt_matched[j] or gt.category != det.category:
-                continue
-            v = iou(det.box, gt.bbox)
-            if v >= iou_thresh and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j is None:
-            is_tp.append(False)
-            matched.append(None)
-        else:
+    for r in range(len(order)):
+        best_iou, best_j = 0.0, None
+        for j, v in candidates.get(r, ()):
+            if not gt_matched[j] and v > best_iou:
+                best_iou, best_j = v, j
+        if best_j is not None:
             gt_matched[best_j] = True
-            is_tp.append(True)
-            matched.append(best_j)
+        matched.append(best_j)
+    is_tp = [j is not None for j in matched]
     return MatchResult(detections=order, is_tp=is_tp, matched_gt=matched, gt_matched=gt_matched)
 
 

@@ -13,32 +13,27 @@ if TYPE_CHECKING:
     from .decode import Detection
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two (x1, y1, x2, y2) boxes; 0 when the union is empty."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def _iou(ox, oy, area_a, area_b):
+    """IoU from the per-axis overlaps, clamped at 0, and the two areas.
+
+    0 unless both overlaps and the union are positive. The only place in
+    the package that divides an intersection by a union.
+    """
+    inter = ox * oy
+    union = area_a + area_b - inter
+    return np.where((inter > 0.0) & (union > 0.0), inter / np.where(union > 0.0, union, 1.0), 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed area or union gives IoU 0, not a warning
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N, 4) and (M, 4) corner arrays."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    ox = np.maximum(np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0]), 0.0)
+    oy = np.maximum(np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1]), 0.0)
     areas_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     areas_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = areas_a[:, None] + areas_b[None, :] - inter
-    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    return _iou(ox, oy, areas_a[:, None], areas_b[None, :])
 
 
 def greedy_nms(dets: Sequence["Detection"], iou_thresh: float) -> list["Detection"]:
@@ -46,22 +41,23 @@ def greedy_nms(dets: Sequence["Detection"], iou_thresh: float) -> list["Detectio
 
     Repeatedly keeps the highest-scoring remaining detection and discards
     same-class detections overlapping it with IoU strictly above the
-    threshold.
+    threshold. Each kept detection forms one iou_matrix row against the
+    later live detections of its class, so memory stays O(N).
     """
     if not 0 < iou_thresh < 1:
         raise InputError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    suppressed = [False] * len(dets)
+    boxes = np.array([dets[i].box for i in order], dtype=np.float64).reshape(-1, 4)
+    classes: dict[int, int] = {}  # dense codes: numpy would round a mix of huge and negative ints to float64
+    categories = np.array([classes.setdefault(dets[i].category, len(classes)) for i in order], dtype=np.intp)
+    live = np.ones(len(order), dtype=bool)
     keep: list[int] = []
     for pos, i in enumerate(order):
-        if suppressed[i]:
+        if not live[pos]:
             continue
         keep.append(i)
-        for j in order[pos + 1 :]:
-            if suppressed[j] or dets[j].category != dets[i].category:
-                continue
-            if iou(dets[i].box, dets[j].box) > iou_thresh:
-                suppressed[j] = True
+        later = pos + 1 + np.flatnonzero(live[pos + 1 :] & (categories[pos + 1 :] == categories[pos]))
+        live[later[iou_matrix(boxes[pos], boxes[later])[0] > iou_thresh]] = False
     return [dets[i] for i in keep]
 
 

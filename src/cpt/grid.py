@@ -281,6 +281,7 @@ def extract_peaks(grid: DenseGrid, top_k: int, per_channel: bool = False) -> lis
     if top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}")
     data = grid.data
+    top_k = min(top_k, data.size // data.shape[0] if per_channel else data.size)  # no group holds more peaks
     idx = _top_peak_indices(data, top_k, per_channel)
     scores = data.ravel()[idx].astype(np.float64).tolist()
     cs, ys, xs = (a.tolist() for a in np.unravel_index(idx, data.shape))

@@ -30,10 +30,10 @@ class FocalParams:
     eps: float = 1e-4  # probability clamp applied to predictions before the log terms
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise InputError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta >= 0:
-            raise InputError(f"beta must be >= 0, got {self.beta}")
+        if not 0 < self.alpha < math.inf:
+            raise InputError(f"alpha must be > 0 and finite, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise InputError(f"beta must be >= 0 and finite, got {self.beta}")
         if not 0 < self.eps < 0.5:
             raise InputError(f"eps must be in (0, 0.5), got {self.eps}")
 
@@ -50,8 +50,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("size", "offset", "depth", "dims", "orientation"):
-            if not getattr(self, name) >= 0:
-                raise InputError(f"loss weight {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InputError(f"loss weight {name} must be >= 0 and finite, got {getattr(self, name)}")
 
 
 @dataclass

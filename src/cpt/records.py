@@ -196,6 +196,9 @@ def detection_from_json(raw, where: str) -> tuple[int, Detection]:
     )
     if det.units not in SIZE_UNITS:
         raise InputError(f"{where}: unknown units {det.units!r}")
+    x1, y1, x2, y2 = det.box
+    if x2 < x1 or y2 < y1:
+        raise InputError(f"{where}: box corners out of order: {list(det.box)}")
     _read_3d(raw, det, where)
     if "joints" in raw:
         det.joints = _records(raw, "joints", _joint_from_json, where)

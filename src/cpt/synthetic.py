@@ -18,6 +18,8 @@ from .targets import ObjectAnnotation
 
 def generator(seed: int) -> np.random.Generator:
     """The toolkit-wide RNG: Philox4x64-10 keyed by the seed, counter from 0."""
+    if not 0 <= seed < 2**128:
+        raise InputError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from cpt import DenseGrid, FocalParams
+from cpt import DenseGrid, FocalParams, MatchResult
 
 
 def shift_case_ious(w: float, h: float, r: float) -> tuple[float, float, float]:
@@ -132,6 +132,37 @@ def reference_nms(items: list[tuple[int, float, tuple]], iou_thresh: float) -> l
             if items[j][0] == items[i][0] and naive_iou(items[i][2], items[j][2]) > iou_thresh:
                 removed.add(j)
     return kept
+
+
+def reference_match(dets, gts, iou_thresh: float) -> MatchResult:
+    """Greedy matching by descending score, input order on ties, every pair's IoU from naive_iou.
+
+    Each detection claims the unmatched same-class ground truth of highest
+    IoU at or above the threshold, the first one on ties.
+    """
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    gt_matched = [False] * len(gts)
+    is_tp: list[bool] = []
+    matched: list[int | None] = []
+    for i in order:
+        det = dets[i]
+        best_iou = 0.0
+        best_j = None
+        for j, gt in enumerate(gts):
+            if gt_matched[j] or gt.category != det.category:
+                continue
+            v = naive_iou(det.box, gt.bbox)
+            if v >= iou_thresh and v > best_iou:
+                best_iou = v
+                best_j = j
+        if best_j is None:
+            is_tp.append(False)
+            matched.append(None)
+        else:
+            gt_matched[best_j] = True
+            is_tp.append(True)
+            matched.append(best_j)
+    return MatchResult(detections=order, is_tp=is_tp, matched_gt=matched, gt_matched=gt_matched)
 
 
 def reference_average_precision(matches: list[tuple[float, bool]], num_gt: int, points: int) -> float | None:

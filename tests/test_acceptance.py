@@ -26,7 +26,6 @@ from cpt import (
     evaluate_detections,
     extract_peaks,
     greedy_nms,
-    iou,
     to_input_space,
 )
 from cpt.dataset import CategoryInfo, Dataset, ImageInfo
@@ -35,7 +34,7 @@ from cpt.losses import GRADCHECKS
 from cpt.targets import EncoderConfig, ObjectAnnotation
 from cpt.synthetic import inject_center_collisions, make_dataset, make_overlap_dataset, make_sparse_dataset
 
-from oracles import eight_neighbor_peak_mask, reference_nms, shifted_max_pool_3x3
+from oracles import eight_neighbor_peak_mask, naive_iou, reference_nms, shifted_max_pool_3x3
 
 
 @contextmanager
@@ -276,6 +275,6 @@ def test_criterion_9_nms_ablation():
                     continue
                 removed_total += 1
                 assert any(
-                    dets[k].category == det.category and iou(dets[k].box, det.box) > 0.5 for k in kept_set
+                    dets[k].category == det.category and naive_iou(dets[k].box, det.box) > 0.5 for k in kept_set
                 )
         assert removed_total == len(overlap.annotations) // 2  # exactly one per injected pair

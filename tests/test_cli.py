@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import cpt
-from cpt import DenseGrid, read_grid, write_grid
+from cpt import DenseGrid, EncoderConfig, read_grid, write_grid
 from cpt.cli import run
 from cpt.dataset import dataset_to_json
 from cpt.synthetic import generator, inject_center_collisions, make_dataset
@@ -195,6 +196,23 @@ def test_roundtrip_collision_free(small_dataset, capsys):
     assert report["detections"] == report["annotations"]
 
 
+def test_top_k_above_cell_count_keeps_every_peak(small_dataset, tmp_path, capsys):
+    # a cap beyond a C long gives the bytes of a cap at the cell count of one group; --min-score=-1 keeps zero peaks
+    ds, path = small_dataset
+    huge = str(10**23)
+    configs = [EncoderConfig.for_image(img.width, img.height, ds.num_classes) for img in ds.images]
+    cells = max(cfg.grid_w * cfg.grid_h * ds.num_classes for cfg in configs)
+    argv = ["roundtrip", str(path), "--min-score=-1"]
+    assert run_ok(capsys, argv + ["--top-k", huge]) == run_ok(capsys, argv + ["--top-k", str(cells)])
+    heatmap = generator(3).uniform(0.0, 1.0, size=(2, 8, 8))
+    grids = _unit_grids(tmp_path)
+    write_grid(grids["heatmap"], DenseGrid(heatmap))
+    argv = ["decode", "--heatmap", grids["heatmap"], "--offset", grids["offset"], "--size", grids["size"], "--min-score=-1"]
+    assert run_ok(capsys, argv + ["--top-k", huge]) == run_ok(capsys, argv + ["--top-k", "128"])
+    per_class = argv + ["--per-class-top-k", "--top-k"]
+    assert run_ok(capsys, per_class + [huge]) == run_ok(capsys, per_class + ["64"])
+
+
 def test_roundtrip_reports_collisions(tmp_path, capsys):
     ds = make_dataset(seed=8, num_images=4, max_objects=10, num_classes=2)
     spiked = inject_center_collisions(ds, seed=9, num_pairs=3)
@@ -294,6 +312,8 @@ def test_help_exits_through_system_exit(capsys):
         ({"score": float("nan")}, "field 'score' must be finite"),
         ({"box": [0, 0, float("inf"), 4]}, "box entry must be finite"),
         ({"center": 5}, "field 'center' must be list"),
+        ({"box": [4, 0, 0, 4]}, "box corners out of order"),
+        ({"box": [0, 4, 4, 0]}, "box corners out of order"),
     ],
 )
 def test_bad_detection_line_exit_1(small_dataset, tmp_path, capsys, command, bad, message):
@@ -305,6 +325,19 @@ def test_bad_detection_line_exit_1(small_dataset, tmp_path, capsys, command, bad
     assert run(argv) == 1
     assert f"detections line 2: {message}" in capsys.readouterr().err
 
+
+
+def test_nms_on_overflowing_areas_keeps_both_and_warns_nothing(tmp_path, capsys):
+    # areas of 1e400 overflow float64, so by the IoU rule the two identical boxes have IoU 0
+    line = json.dumps({"category": 0, "score": 0.9, "box": [0, 0, 1e200, 1e200]})
+    dets_path = tmp_path / "dets.jsonl"
+    dets_path.write_text(line + "\n" + line + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would exit 2
+        assert run(["nms", str(dets_path)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert captured.err == ""
 
 
 def test_bad_detection_named_by_its_line_in_the_file(tmp_path, capsys):
@@ -538,6 +571,17 @@ def _unit_grids(tmp_path):
         ("anchors", ["--resize-shorter", "4", "--oracle"], "resizes to 4x4, which holds no anchor center at stride 16"),
         ("anchors", ["--resize-shorter", "1e300"], "x1e+300: each side must be < 2**52 for exact anchor centers"),
         ("anchors", ["--resize-shorter", "1e300", "--oracle"], "x1e+300: each side must be < 2**52 for exact anchor centers"),
+        ("gradcheck", ["--seed", "-1"], "seed must be in [0, 2**128), got -1"),
+        ("gradcheck", ["--seed", str(2**128)], f"seed must be in [0, 2**128), got {2**128}"),
+        ("loss", ["--beta", "inf"], "beta must be >= 0 and finite"),
+        ("loss", ["--alpha", "inf"], "alpha must be > 0 and finite"),
+        ("loss", ["--alpha", "0"], "alpha must be > 0 and finite"),
+        ("loss", ["--lambda-size", "inf"], "loss weight size must be >= 0 and finite"),
+        ("loss", ["--lambda-off", "inf"], "loss weight offset must be >= 0 and finite"),
+        ("loss", ["--lambda-dep", "inf"], "loss weight depth must be >= 0 and finite"),
+        ("loss", ["--lambda-dim", "inf"], "loss weight dims must be >= 0 and finite"),
+        ("loss", ["--lambda-ori", "inf"], "loss weight orientation must be >= 0 and finite"),
+        ("loss", ["--lambda-ori=-1"], "loss weight orientation must be >= 0 and finite"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):

@@ -1,11 +1,13 @@
 """Matching protocol and interpolated average precision."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpt import InputError, ObjectAnnotation, average_precision, evaluate_detections, match_detections
 from cpt.decode import Detection
 
-from oracles import reference_average_precision
+from oracles import reference_average_precision, reference_match
 
 
 def rng(seed=0):
@@ -20,7 +22,30 @@ def gt(category, box):
     return ObjectAnnotation(bbox=box, category=category)
 
 
+@st.composite
+def crowded_image(draw):
+    """Detections and ground truths of one image, drawn from one small pool of boxes.
+
+    Scores tie, boxes repeat and classes mix, so detections compete for
+    ground truths and ground truths tie in IoU.
+    """
+    coord = st.integers(0, 12).map(float) | st.floats(0, 12)
+    box = st.tuples(coord, coord, st.floats(0, 8), st.floats(0, 8)).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+    pool = draw(st.lists(box, min_size=1, max_size=8))
+    category = st.sampled_from([0, 1, 2**63])
+    score = st.sampled_from([0.9, 0.5, 0.5, 0.1]) | st.floats(0, 1)
+    dets = draw(st.lists(st.builds(det, category, score, st.sampled_from(pool)), max_size=25))
+    gts = draw(st.lists(st.builds(gt, category, st.sampled_from(pool)), max_size=12))
+    return dets, gts
+
+
 class TestMatchDetections:
+    @given(crowded_image(), st.sampled_from([0.1, 0.5, 0.7, 1.0]) | st.floats(0.01, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, image, thresh):
+        dets, gts = image
+        assert match_detections(dets, gts, thresh) == reference_match(dets, gts, thresh)
+
     def test_perfect_predictions_all_tp(self):
         gts = [gt(0, (0, 0, 10, 10)), gt(1, (20, 20, 40, 40))]
         dets = [det(0, 0.9, (0, 0, 10, 10)), det(1, 0.8, (20, 20, 40, 40))]

@@ -1,12 +1,13 @@
 """Box arithmetic: IoU, greedy NMS against a reference, anchor grids."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpt import AnchorConfig, InputError, anchor_grid, greedy_nms, iou, iou_matrix, resize_shorter
+from cpt import AnchorConfig, InputError, anchor_grid, greedy_nms, iou_matrix, resize_shorter
 from cpt.decode import Detection
 
 from oracles import naive_iou, reference_nms
@@ -23,6 +24,31 @@ def boxes_strategy():
     )
 
 
+def iou(a, b) -> float:
+    return float(iou_matrix(a, b)[0, 0])
+
+
+def grid_boxes_strategy():
+    """Lists of boxes on a coarse grid, so zero-area, touching, disjoint and nested pairs are common.
+
+    The grid is scaled to tiny and to huge extents, where the areas overflow,
+    and may be mirrored through the origin, which puts -0.0 corners where
+    other boxes have 0.0.
+    """
+    coord = st.integers(0, 6).map(float)
+    box = st.tuples(coord, coord, coord, coord).map(
+        lambda t: (min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3]))
+    )
+
+    def place(boxes, k, mirror):
+        if mirror:
+            return [(-x2 * k, -y2 * k, -x1 * k, -y1 * k) for x1, y1, x2, y2 in boxes]
+        return [(x1 * k, y1 * k, x2 * k, y2 * k) for x1, y1, x2, y2 in boxes]
+
+    scale = st.sampled_from([1.0, 0.1, 1e-300, 1e150, 1e200])
+    return st.builds(place, st.lists(box, min_size=1, max_size=6), scale, st.booleans())
+
+
 class TestIoU:
     def test_identical(self):
         assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
@@ -36,6 +62,10 @@ class TestIoU:
     def test_degenerate_union(self):
         assert iou((3, 3, 3, 3), (3, 3, 3, 3)) == 0.0
 
+    def test_overflowed_areas_give_zero(self):
+        with np.errstate(all="raise"):
+            assert iou((0, 0, 1e200, 1e200), (0, 0, 2e200, 2e200)) == 0.0
+
     @given(boxes_strategy(), boxes_strategy())
     @settings(max_examples=300, deadline=None)
     def test_symmetric_and_bounded(self, a, b):
@@ -44,18 +74,39 @@ class TestIoU:
         assert 0.0 <= v <= 1.0
         assert v == naive_iou(a, b)
 
-    def test_matrix_matches_scalar(self):
+    @given(grid_boxes_strategy(), grid_boxes_strategy())
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_bit_identical_to_naive(self, a, b):
+        m = iou_matrix(a, b)
+        want = np.array([[naive_iou(x, y) for y in b] for x in a], dtype=np.float64)
+        assert m.tobytes() == want.tobytes()
+
+    def test_matrix_matches_naive(self):
         r = rng(4)
         a = np.sort(r.uniform(0, 50, size=(12, 2, 2)), axis=1).reshape(12, 4)[:, [0, 2, 1, 3]]
         b = np.sort(r.uniform(0, 50, size=(9, 2, 2)), axis=1).reshape(9, 4)[:, [0, 2, 1, 3]]
         m = iou_matrix(a, b)
         for i in range(12):
             for j in range(9):
-                assert m[i, j] == iou(tuple(a[i]), tuple(b[j]))
+                assert m[i, j] == naive_iou(tuple(a[i]), tuple(b[j]))
 
 
 def det(category, score, box):
     return Detection(category=category, score=score, box=box, center=(0.0, 0.0))
+
+
+@st.composite
+def crowded_detections(draw):
+    """(category, score, box) triples with tied scores, duplicate boxes and mixed classes, huge ids among them."""
+    coord = st.integers(0, 12).map(float) | st.floats(0, 12)
+    box = st.tuples(coord, coord, st.floats(0, 8), st.floats(0, 8)).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+    pool = draw(st.lists(box, min_size=1, max_size=8))
+    item = st.tuples(
+        st.sampled_from([0, 1, 2**63, 2**63 + 1]),
+        st.sampled_from([0.9, 0.5, 0.5, 0.1]) | st.floats(0, 1),
+        st.sampled_from(pool),
+    )
+    return draw(st.lists(item, max_size=30))
 
 
 class TestGreedyNms:
@@ -94,7 +145,7 @@ class TestGreedyNms:
         for i, a in enumerate(kept):
             for b in kept[i + 1 :]:
                 if a.category == b.category:
-                    assert iou(a.box, b.box) <= 0.4
+                    assert naive_iou(a.box, b.box) <= 0.4
 
     def test_matches_reference_on_random_instances(self):
         r = rng(99)
@@ -111,6 +162,28 @@ class TestGreedyNms:
             want = reference_nms(items, thresh)
             got = sorted(dets.index(x) for x in kept)
             assert got == sorted(want), f"trial {trial}"
+
+    @given(crowded_detections(), st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]) | st.floats(0.01, 0.99))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_with_ties_and_duplicates(self, items, thresh):
+        dets = [det(c, s, b) for c, s, b in items]
+        position = {id(d): k for k, d in enumerate(dets)}
+        assert [position[id(d)] for d in greedy_nms(dets, thresh)] == reference_nms(items, thresh)
+
+    def test_memory_is_linear_in_detections(self):
+        r = rng(5)
+        n = 5000
+        corners = r.uniform(0, 2000, size=(n, 2)).tolist()
+        scores = r.uniform(0, 1, size=n).tolist()
+        dets = [det(0, s, (x, y, x + 30.0, y + 30.0)) for (x, y), s in zip(corners, scores)]
+        tracemalloc.start()
+        try:
+            kept = greedy_nms(dets, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(kept) < n
+        assert peak < 10 * 2**20  # an N x N float64 IoU matrix would take 200 MB
 
 
 class TestAnchors:

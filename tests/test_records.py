@@ -54,7 +54,7 @@ def detections(draw):
     det = Detection(
         category=draw(st.integers(0, 90)),
         score=draw(FLOATS),
-        box=draw(_floats(4)),
+        box=draw(_floats(4).map(lambda b: (min(b[0], b[2]), min(b[1], b[3]), max(b[0], b[2]), max(b[1], b[3])))),
         center=draw(_floats(2)),
         units=draw(st.sampled_from(["cells", "pixels"])),
     )
@@ -179,6 +179,18 @@ def test_detection_reader_rejects_malformed_optional_fields(patch, message):
     raw = {"category": 0, "score": 0.5, "box": [0, 0, 4, 4], **patch}
     with pytest.raises(InputError, match=f"^line 3.*{message}"):
         detection_from_json(raw, "line 3")
+
+
+@pytest.mark.parametrize("box", [[4, 0, 0, 4], [0, 4, 4, 0], [0.0, 0.0, -1e-300, 4.0]])
+def test_detection_reader_rejects_inverted_box(box):
+    raw = {"category": 0, "score": 0.5, "box": box}
+    with pytest.raises(InputError, match="^line 3: box corners out of order"):
+        detection_from_json(raw, "line 3")
+
+
+def test_detection_reader_accepts_zero_area_box():
+    raw = {"category": 0, "score": 0.5, "box": [2.0, 3.0, 2.0, 3.0]}
+    assert detection_from_json(raw, "line 3")[1].box == (2.0, 3.0, 2.0, 3.0)
 
 
 def test_docs_manifest_example_reads_back():
