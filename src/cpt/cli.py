@@ -258,7 +258,7 @@ def _eval_json(report, ds: Dataset) -> dict:
 def _cmd_eval(args) -> int:
     ds = _load_dataset_warned(args.dataset)
     dets: dict[int, list[Detection]] = {}
-    for _, image_id, det in read_detections(args.detections):
+    for _, image_id, det in read_detections(args.detections, ds.num_classes):
         dets.setdefault(image_id, []).append(to_input_space(det, args.stride) if det.units == "cells" else det)
     gts = ds.annotations_by_image()
     report = evaluate_detections(dets, gts, iou_thresh=args.iou_thresh, recall_points=args.recall_points)

@@ -76,25 +76,24 @@ def _check_spatial(name: str, grid: DenseGrid, heatmap: DenseGrid, channels: int
         raise InputError(f"{name} map must have {channels} channels, got {grid.channels}")
 
 
-def _box_from_peak(
-    peak: Peak,
-    offset_map: DenseGrid,
-    size_map: DenseGrid,
-    size_units: str,
-    stride: int,
-) -> tuple[tuple[float, float], tuple[float, float, float, float]]:
-    dx = float(offset_map.data[0, peak.y, peak.x])
-    dy = float(offset_map.data[1, peak.y, peak.x])
-    w = float(size_map.data[0, peak.y, peak.x])
-    h = float(size_map.data[1, peak.y, peak.x])
-    if size_units == "pixels":
-        w /= stride
-        h /= stride
-    # negative size predictions would invert the box; clamp to degenerate
-    w = max(w, 0.0)
-    h = max(h, 0.0)
-    cx, cy = peak.x + dx, peak.y + dy
-    return (cx, cy), (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+def _boxes(
+    peaks: list[Peak], offset_map: DenseGrid, size_map: DenseGrid, size_units: str, stride: int
+) -> tuple[list[int], list[int], list[tuple[float, float]], list[tuple[float, float, float, float]]]:
+    """(ys, xs, centers, boxes) of the peaks, each map read with one gather.
+
+    The arithmetic is the scalar float64 arithmetic per peak, elementwise.
+    """
+    xs, ys = [p.x for p in peaks], [p.y for p in peaks]
+    dx, dy = offset_map.data[:, ys, xs].astype(np.float64, copy=False)
+    w, h = size_map.data[:, ys, xs].astype(np.float64, copy=False)
+    with np.errstate(all="ignore"):  # inf - inf is NaN here as in Python, without a warning
+        if size_units == "pixels":
+            w, h = w / stride, h / stride
+        # negative size predictions would invert the box; clamp to degenerate, keeping NaN and -0.0
+        w, h = np.where(0.0 > w, 0.0, w), np.where(0.0 > h, 0.0, h)
+        cx, cy = xs + dx, ys + dy
+        box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    return ys, xs, list(zip(cx.tolist(), cy.tolist())), list(zip(*(v.tolist() for v in box)))
 
 
 def decode_boxes(
@@ -129,17 +128,18 @@ def decode_boxes(
     if orientation_map is not None:
         _check_spatial("orientation", orientation_map, heatmap, 8)
 
-    dets = []
-    for peak in extract_peaks(heatmap, top_k, per_channel=per_class_top_k):
-        center, box = _box_from_peak(peak, offset_map, size_map, size_units, stride)
-        det = Detection(category=peak.channel, score=peak.score, box=box, center=center)
-        if depth_map is not None:
-            det.depth = decode_depth(float(depth_map.data[0, peak.y, peak.x]))
-        if dims_map is not None:
-            det.dims3d = tuple(float(v) for v in dims_map.data[:, peak.y, peak.x])
-        if orientation_map is not None:
-            det.yaw = decode_orientation(orientation_map.data[:, peak.y, peak.x])
-        dets.append(det)
+    peaks = extract_peaks(heatmap, top_k, per_channel=per_class_top_k)
+    ys, xs, centers, boxes = _boxes(peaks, offset_map, size_map, size_units, stride)
+    dets = [Detection(p.channel, p.score, box, center) for p, box, center in zip(peaks, boxes, centers)]
+    if depth_map is not None:
+        for det, raw in zip(dets, depth_map.data[0, ys, xs].tolist()):
+            det.depth = decode_depth(raw)
+    if dims_map is not None:
+        for det, dims in zip(dets, dims_map.data[:, ys, xs].T.tolist()):
+            det.dims3d = tuple(dims)
+    if orientation_map is not None:
+        for det, alpha in zip(dets, orientation_map.data[:, ys, xs].T):
+            det.yaw = decode_orientation(alpha)
     return dets
 
 
@@ -207,8 +207,7 @@ def decode_pose(
     candidates = _joint_candidates(joint_heatmap, joint_local_offset, top_k, joint_thresh)
 
     dets = []
-    for peak in peaks:
-        center, box = _box_from_peak(peak, offset_map, size_map, size_units, stride)
+    for peak, center, box in zip(peaks, *_boxes(peaks, offset_map, size_map, size_units, stride)[2:]):
         x1, y1, x2, y2 = box
         joints: list[Joint] = []
         for j in range(k):

@@ -5,9 +5,11 @@ is given and returns that same grid.
 Grid data is stored as a numpy array of shape (channels, height, width),
 row-major with the channel axis outermost.
 
-Peak extraction costs one pass for the row maxima, then a peak mask only on
-the rows whose maximum can still reach the top-k, so beyond that pass its
-cost follows the rows that can hold a kept peak, not the grid size.
+Peak extraction costs one pass for the row maxima (one fmax.reduceat over
+the flat grid), then a peak mask only on the rows whose maximum can still
+reach the top-k, kept in buffers the size of the rows visited so far, so
+beyond that pass its cost follows the rows that can hold a kept peak, not
+the grid size.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .errors import InputError
 MIN_RADIUS = 1e-6
 # extract_peaks visits at least this many rows per batch, so that numpy's
 # fixed cost per call stays small next to the work on the rows.
-MIN_BATCH_ROWS = 16
+MIN_BATCH_ROWS = 32
 
 
 class DenseGrid:
@@ -92,24 +94,45 @@ def render_gaussian(grid: DenseGrid, center: tuple[float, float], channel: int, 
     """
     if not 0 <= channel < grid.channels:
         raise InputError(f"channel {channel} out of range [0, {grid.channels})")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise InputError(f"sigma must be positive and finite, got {sigma}")
-
-    px, py = float(center[0]), float(center[1])
-    radius = int(math.ceil(3.0 * sigma))
-    x0 = max(int(math.ceil(px - radius)), 0)
-    x1 = min(int(math.floor(px + radius)), grid.width - 1)
-    y0 = max(int(math.ceil(py - radius)), 0)
-    y1 = min(int(math.floor(py + radius)), grid.height - 1)
-    if x0 > x1 or y0 > y1:
-        return grid
-
-    xs = np.arange(x0, x1 + 1, dtype=np.float64) - px
-    ys = np.arange(y0, y1 + 1, dtype=np.float64) - py
-    kernel = np.exp(-(xs[None, :] ** 2 + ys[:, None] ** 2) / (2.0 * sigma * sigma))
-    region = grid.data[channel, y0 : y1 + 1, x0 : x1 + 1]
-    np.maximum(region, kernel, out=region)
+    _splat(grid.data, [(channel, center[0], center[1], sigma)])
     return grid
+
+
+def _splat(data: np.ndarray, splats: list[tuple[int, float, float, float]]) -> None:
+    """render_gaussian for each (channel, px, py, sigma) in turn, on a (C, H, W) array.
+
+    The kernels of all windows are evaluated in one array pass over their
+    cells, with the arithmetic of one splat per cell; the windows are then
+    combined into data by max one at a time, in order.
+    """
+    _, h, w = data.shape
+    windows, corners, scales = [], [], []
+    for channel, px, py, sigma in splats:
+        if not (sigma > 0 and math.isfinite(sigma)):
+            raise InputError(f"sigma must be positive and finite, got {sigma}")
+        px, py = float(px), float(py)
+        radius = int(math.ceil(3.0 * sigma))
+        x0 = max(int(math.ceil(px - radius)), 0)
+        x1 = min(int(math.floor(px + radius)), w - 1)
+        y0 = max(int(math.ceil(py - radius)), 0)
+        y1 = min(int(math.floor(py + radius)), h - 1)
+        if x0 <= x1 and y0 <= y1:
+            windows.append((channel, slice(y0, y1 + 1), slice(x0, x1 + 1), y1 + 1 - y0, x1 + 1 - x0))
+            corners.append((x0, y0, px, py))
+            scales.append(2.0 * sigma * sigma)
+    if not windows:
+        return
+    x0, y0, px, py = np.array(corners).T
+    ny, nx = np.array([win[3:] for win in windows]).T
+    # every window's cells in row-major order: each cell's window, and its row and column in it
+    ends = np.cumsum(ny * nx)
+    win = np.repeat(np.arange(len(windows)), ny * nx)
+    row, col = np.divmod(np.arange(ends[-1]) - (ends - ny * nx)[win], nx[win])
+    dx, dy = (x0[win] + col) - px[win], (y0[win] + row) - py[win]
+    kernel = np.exp(-(dx**2 + dy**2) / np.array(scales)[win])
+    for (channel, rows, cols, a, b), k in zip(windows, np.split(kernel, ends[:-1])):
+        region = data[channel, rows, cols]
+        np.maximum(region, k.reshape(a, b), out=region)
 
 
 def gaussian_radius(box_w: float, box_h: float, min_overlap: float = 0.7) -> float:
@@ -154,23 +177,23 @@ def _row_peaks(rows: np.ndarray, height: int, r: np.ndarray) -> tuple[np.ndarray
     """Values and peak mask of rows r of a (C*H, W) view.
 
     A row's 3x3 neighborhood is rows y-1, y and y+1 of its own channel,
-    clipped at the borders: a border row stands in for its missing neighbor.
+    clipped at the borders: a border row or column stands in for its
+    missing neighbor. A peak equals the maximum of its neighborhood, which
+    is NaN wherever the neighborhood holds a NaN.
     """
     w = rows.shape[1]
     y = r % height
     mid = rows.take(r, axis=0)
     cols = np.maximum(rows.take(r - (y > 0), axis=0), mid)
     np.maximum(cols, rows.take(r + (y < height - 1), axis=0), out=cols)
-    # a peak equals its column max and is >= the column maxima at x-1 and x+1; compared over the
-    # flat buffer, each border cell met a cell of the next row, so the border columns are redone
-    m, c = mid.ravel(), cols.ravel()
-    peak = m == c
-    peak[1:] &= m[1:] >= c[:-1]
-    peak[:-1] &= m[:-1] >= c[1:]
-    peak = peak.reshape(mid.shape)
-    border, inner = [0, w - 1], [min(1, w - 1), max(w - 2, 0)]
-    peak[:, border] = (mid[:, border] == cols[:, border]) & (mid[:, border] >= cols[:, inner])
-    return mid, peak
+    # over the flat buffer each border cell meets a cell of the next row, so the border columns are redone
+    box = cols.copy()
+    b, c = box.ravel(), cols.ravel()
+    np.maximum(b[1:], c[:-1], out=b[1:])
+    np.maximum(b[:-1], c[1:], out=b[:-1])
+    box[:, 0] = np.maximum(cols[:, 0], cols[:, min(1, w - 1)])
+    box[:, -1] = np.maximum(cols[:, -1], cols[:, max(w - 2, 0)])
+    return mid, mid == box
 
 
 def _top_peak_indices(data: np.ndarray, top_k: int, per_channel: bool) -> np.ndarray:
@@ -185,41 +208,47 @@ def _top_peak_indices(data: np.ndarray, top_k: int, per_channel: bool) -> np.nda
     above T has been found. Its cut is final once top_k of those are found,
     or once top_k - a of its peaks equal to T lie in visited rows before the
     next unvisited one (a being the count above T): an unvisited row holding
-    a peak equal to T comes after every visited row with R == T.
+    a peak equal to T comes after every visited row with R == T. All-NaN rows
+    sort last and hold no peak, so a group whose next row is one is done.
     """
     c, h, w = data.shape
     groups = c if per_channel else 1
     n = c * h // groups  # rows per group
     rows = data.reshape(c * h, w)
-    bound = np.fmax.reduce(rows, axis=1).reshape(groups, n)  # NaN only for an all-NaN row: no peak, sorts last
+    # NaN only for an all-NaN row, which holds no peak and sorts last
+    bound = np.fmax.reduceat(data.ravel(), np.arange(0, data.size, w)).reshape(groups, n)
     order = np.argsort(-bound, axis=1, kind="stable")  # row within the group, by visiting position
-    ranked = np.take_along_axis(bound, order, axis=1)
-    live = n - np.count_nonzero(np.isnan(bound), axis=1)
-    values = np.empty((groups, n, w), data.dtype)  # visited rows by visiting position
-    peaks = np.zeros((groups, n, w), bool)
+    values = np.empty((groups, 0, w), data.dtype)  # visited rows by visiting position
+    peaks = np.empty((groups, 0, w), bool)
     cut = np.full(groups, np.nan)  # a closed group keeps its peaks that score >= cut
     visited, batch = 0, max(-(-top_k // w), MIN_BATCH_ROWS)  # at least enough rows to hold top_k peaks
     while np.isnan(cut).any():
         o = np.flatnonzero(np.isnan(cut))
-        pos = np.arange(visited, min(visited + batch, n))
-        go, gp = np.nonzero(pos < live[o, None])
-        g, p = o[go], pos[gp]
-        values[g, p], peaks[g, p] = _row_peaks(rows, h, order[g, p] + g * n)
-        visited = min(visited + batch, n)
+        size = min(batch, n - visited)
+        v, pk = _row_peaks(rows, h, (order[o, visited : visited + size] + o[:, None] * n).ravel())
+        shape = (groups, size, w)
+        if o.size < groups:  # closed groups get rows without peaks
+            part = v.reshape(o.size, size, w), pk.reshape(o.size, size, w)
+            v, pk = np.empty(shape, data.dtype), np.zeros(shape, bool)
+            v[o], pk[o] = part
+        values = np.concatenate([values, v.reshape(shape)], axis=1)
+        peaks = np.concatenate([peaks, pk.reshape(shape)], axis=1)
+        visited += size
         batch *= 2
         sel = o if o.size < groups else slice(None)  # a slice copies nothing
-        nxt = min(visited, n - 1)
-        t = np.where(visited < live[o], ranked[sel, nxt], -np.inf)
-        level = t.astype(data.dtype)[:, None, None]
-        v, pk = values[sel, :visited], peaks[sel, :visited]
-        above = np.count_nonzero((v > level) & pk, axis=(1, 2))
-        # unvisited rows with R == T come after the next one in flat order
-        early = (order[sel, :visited] < order[sel, nxt, None])[:, :, None]
-        ties = np.count_nonzero((v == level) & pk & early, axis=(1, 2))
-        close = (above + ties >= top_k) | (visited >= live[o])
+        nxt = order[o, min(visited, n - 1)]
+        t = bound[o, nxt]
+        done = np.isnan(t) | (visited >= n)  # every row that can hold a peak is visited
+        t[done] = -np.inf
+        # a peak counts above T, or at T in a row before the next one in flat order, since the
+        # unvisited rows with R == T come after it; above T means at least the next value up
+        up = np.where(t < np.inf, np.nextafter(t, np.inf), np.nan)
+        level = np.where(order[sel, :visited] < nxt[:, None], t[:, None], up[:, None])
+        found = np.count_nonzero((values[sel] >= level[:, :, None]) & peaks[sel], axis=(1, 2))
+        close = (found >= top_k) | done
         cut[o[close]] = t[close]
     row_ids = order[:, :visited] + np.arange(0, c * h, n)[:, None]
-    return _select(values[:, :visited], peaks[:, :visited], row_ids, cut, top_k)
+    return _select(values, peaks, row_ids, cut, top_k)
 
 
 def _select(values: np.ndarray, peaks: np.ndarray, row_ids: np.ndarray, cut: np.ndarray, top_k: int) -> np.ndarray:
@@ -231,18 +260,20 @@ def _select(values: np.ndarray, peaks: np.ndarray, row_ids: np.ndarray, cut: np.
     """
     groups, visited, w = values.shape
     span = visited * w
-    hi = np.flatnonzero((values > cut.astype(values.dtype)[:, None, None]) & peaks)
-    scores = values[np.unravel_index(hi, values.shape)]
+    level = cut.astype(values.dtype)[:, None, None]
+    hi = np.flatnonzero((values > level) & peaks)
+    top = values.ravel()[hi]
     counts = np.bincount(hi // span, minlength=groups)
     if counts.max() >= top_k:
         # a group that holds top_k peaks above its cut cuts at the top_k-th of them instead
         board = np.full((groups, counts.max()), -np.inf)
-        board[hi // span, _rank_in_group(hi // span, groups)] = scores
+        board[hi // span, _rank_in_group(hi // span, groups)] = top
         cut = np.maximum(cut, np.partition(board, -top_k, axis=1)[:, -top_k])
-        keep = scores > cut[hi // span]
-        hi, scores = hi[keep], scores[keep]
+        level = cut.astype(values.dtype)[:, None, None]
+        keep = top > level[hi // span, 0, 0]
+        hi, top = hi[keep], top[keep]
     need = top_k - np.bincount(hi // span, minlength=groups)
-    tie = (values == cut.astype(values.dtype)[:, None, None]) & peaks
+    tie = (values == level) & peaks
     # only the rows that come first in flat order can hold the ties kept
     per_row = np.count_nonzero(tie, axis=2)
     flat = np.argsort(row_ids, axis=1)
@@ -253,8 +284,8 @@ def _select(values: np.ndarray, peaks: np.ndarray, row_ids: np.ndarray, cut: np.
     lo = lo[np.argsort(row_ids.ravel()[lo // w], kind="stable")]
     lo = lo[_rank_in_group(lo // span, groups) < need[lo // span]]
     idx = row_ids.ravel()[np.concatenate([hi, lo]) // w] * w + np.concatenate([hi, lo]) % w
-    scores = np.concatenate([scores, cut[lo // span]])
-    return idx[np.lexsort((idx, -scores))]
+    top = np.concatenate([top, values.ravel()[lo]])
+    return idx[np.lexsort((idx, -top))]
 
 
 def _rank_in_group(g: np.ndarray, groups: int) -> np.ndarray:
@@ -271,12 +302,14 @@ def extract_peaks(grid: DenseGrid, top_k: int, per_channel: bool = False) -> lis
     comparison and are kept, subject to the cap. NaN cells, and cells next
     to one, are never peaks.
 
-    Cost: one pass over the grid for its row maxima, then a peak mask on
-    the rows that can hold a top_k peak, visited in descending row maximum
-    until the cut is final; only peaks at or above the cut are sorted. On a
-    sparse heatmap that is a few hundred of its rows. With per_channel set,
-    every channel is its own group with its own cap, and the groups advance
-    together.
+    Cost: one pass over the grid for its row maxima, a single
+    np.fmax.reduceat over the flat grid, then a peak mask on the rows that
+    can hold a top_k peak, visited in descending row maximum until the cut
+    is final; only peaks at or above the cut are sorted. The values and
+    masks are kept for the visited rows only, so the buffers grow with the
+    rows visited, not with the grid: on a sparse heatmap that is a few
+    hundred of its rows. With per_channel set, every channel is its own
+    group with its own cap, and the groups advance together.
     """
     if top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}")

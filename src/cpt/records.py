@@ -185,8 +185,11 @@ def _joint_from_json(raw, where: str) -> Joint:
     return Joint(x, y, source)
 
 
-def detection_from_json(raw, where: str) -> tuple[int, Detection]:
-    """(image id, detection) of one record; image_id defaults to 0, center to (0, 0), units to pixels."""
+def detection_from_json(raw, where: str, num_classes: int | None = None) -> tuple[int, Detection]:
+    """(image id, detection) of one record; image_id defaults to 0, center to (0, 0), units to pixels.
+
+    With num_classes given, the category must be a class index below it.
+    """
     det = Detection(
         category=require_field(raw, "category", int, where),
         score=require_field(raw, "score", float, where),
@@ -194,6 +197,8 @@ def detection_from_json(raw, where: str) -> tuple[int, Detection]:
         center=_field(raw, "center", 2, where) if "center" in raw else (0.0, 0.0),
         units=require_field(raw, "units", str, where) if "units" in raw else "pixels",
     )
+    if num_classes is not None and not 0 <= det.category < num_classes:
+        raise InputError(f"{where}: category {det.category} is not a class index of the dataset [0, {num_classes})")
     if det.units not in SIZE_UNITS:
         raise InputError(f"{where}: unknown units {det.units!r}")
     x1, y1, x2, y2 = det.box
@@ -205,8 +210,11 @@ def detection_from_json(raw, where: str) -> tuple[int, Detection]:
     return (require_field(raw, "image_id", int, where) if "image_id" in raw else 0), det
 
 
-def read_detections(path) -> list[tuple[dict, int, Detection]]:
-    """(record, image id, detection) for each non-blank line of a JSON-lines file, or of stdin for "-"."""
+def read_detections(path, num_classes: int | None = None) -> list[tuple[dict, int, Detection]]:
+    """(record, image id, detection) for each non-blank line of a JSON-lines file, or of stdin for "-".
+
+    With num_classes given, every category must be a class index below it.
+    """
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -221,4 +229,4 @@ def read_detections(path) -> list[tuple[dict, int, Detection]]:
             raise InputError(f"detections line {n}: {e.msg}") from e
         except (ValueError, RecursionError) as e:  # an overlong int, deep nesting
             raise InputError(f"detections line {n}: {e}") from e
-    return [(raw, *detection_from_json(raw, f"detections line {n}")) for n, raw in lines]
+    return [(raw, *detection_from_json(raw, f"detections line {n}", num_classes)) for n, raw in lines]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .grid import DenseGrid, gaussian_sigma, render_gaussian
+from .grid import DenseGrid, _splat, gaussian_sigma, render_gaussian
 
 TWO_PI = 2.0 * math.pi
 
@@ -249,6 +249,7 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
         center_mask=DenseGrid.zeros(gw, gh, 1),
     )
     occupants: dict[tuple[int, int, int], list[int]] = {}
+    splats = []
     for i, ann in enumerate(annotations):
         if not 0 <= ann.category < cfg.num_classes:
             raise InputError(f"annotation {i}: category {ann.category} out of range [0, {cfg.num_classes})")
@@ -259,8 +260,7 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
         if clamped:
             ts.clamped_centers += 1
 
-        sigma = _object_sigma(ann, cfg)
-        ts.heatmap = render_gaussian(ts.heatmap, (float(cx), float(cy)), ann.category, sigma)
+        splats.append((ann.category, float(cx), float(cy), _object_sigma(ann, cfg)))
 
         sw, sh = (ann.width, ann.height) if cfg.size_units == "pixels" else (ann.width / r, ann.height / r)
         ts.size.data[0, cy, cx] = sw
@@ -287,6 +287,7 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
                 orientation=encode_orientation(ann.yaw) if ann.yaw is not None else None,
             )
         )
+    _splat(ts.heatmap.data, splats)
     return ts
 
 

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from cpt import DenseGrid, FocalParams, MatchResult
+from cpt import DenseGrid, FocalParams, MatchResult, extract_peaks
+from cpt.decode import Detection, decode_depth, decode_orientation
 
 
 def shift_case_ious(w: float, h: float, r: float) -> tuple[float, float, float]:
@@ -231,6 +232,14 @@ def reference_splat(grid: DenseGrid, center: tuple[float, float], channel: int, 
     return out
 
 
+def reference_splats(data: np.ndarray, splats) -> None:
+    """Each (channel, px, py, sigma) through reference_splat in turn, the result written back into data."""
+    grid = DenseGrid(data)
+    for channel, px, py, sigma in splats:
+        grid = reference_splat(grid, (px, py), channel, sigma)
+    data[...] = grid.data
+
+
 def reference_l1_at_cells(pred: DenseGrid, entries, n: int) -> tuple[float, DenseGrid]:
     """Sum of weighted absolute residuals at supervised cells, averaged over n records.
 
@@ -249,3 +258,45 @@ def reference_l1_at_cells(pred: DenseGrid, entries, n: int) -> tuple[float, Dens
         total += w * np.abs(diff).sum()
         grad[ch0 : ch0 + tgt.size, cy, cx] += w * np.sign(diff) / n
     return float(total / n), DenseGrid(grad)
+
+
+def _box_from_peak(peak, offset_map: DenseGrid, size_map: DenseGrid, size_units: str, stride: int):
+    dx = float(offset_map.data[0, peak.y, peak.x])
+    dy = float(offset_map.data[1, peak.y, peak.x])
+    w = float(size_map.data[0, peak.y, peak.x])
+    h = float(size_map.data[1, peak.y, peak.x])
+    if size_units == "pixels":
+        w /= stride
+        h /= stride
+    # negative size predictions would invert the box; clamp to degenerate
+    w = max(w, 0.0)
+    h = max(h, 0.0)
+    cx, cy = peak.x + dx, peak.y + dy
+    return (cx, cy), (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+
+def reference_decode_boxes(
+    heatmap: DenseGrid,
+    offset_map: DenseGrid,
+    size_map: DenseGrid,
+    top_k: int = 100,
+    size_units: str = "cells",
+    stride: int = 4,
+    per_class_top_k: bool = False,
+    depth_map: DenseGrid | None = None,
+    dims_map: DenseGrid | None = None,
+    orientation_map: DenseGrid | None = None,
+) -> list[Detection]:
+    """decode_boxes read one peak at a time: scalar reads of every map at the peak cell, Python arithmetic."""
+    dets = []
+    for peak in extract_peaks(heatmap, top_k, per_channel=per_class_top_k):
+        center, box = _box_from_peak(peak, offset_map, size_map, size_units, stride)
+        det = Detection(category=peak.channel, score=peak.score, box=box, center=center)
+        if depth_map is not None:
+            det.depth = decode_depth(float(depth_map.data[0, peak.y, peak.x]))
+        if dims_map is not None:
+            det.dims3d = tuple(float(v) for v in dims_map.data[:, peak.y, peak.x])
+        if orientation_map is not None:
+            det.yaw = decode_orientation(orientation_map.data[:, peak.y, peak.x])
+        dets.append(det)
+    return dets

@@ -15,7 +15,7 @@ from cpt.cli import run
 from cpt.dataset import dataset_to_json
 from cpt.synthetic import generator, inject_center_collisions, make_dataset
 
-from oracles import reference_focal_loss, reference_splat
+from oracles import reference_focal_loss, reference_splat, reference_splats
 
 
 @pytest.fixture()
@@ -367,6 +367,25 @@ def test_eval_accepts_cell_units(small_dataset, tmp_path, capsys):
     assert report["map"] == 1.0
 
 
+def test_eval_rejects_a_category_outside_the_dataset(tmp_path, capsys):
+    """A stray class index would otherwise be reported under the real class id it equals."""
+    ds = make_dataset(seed=31, num_images=1, max_objects=3, num_classes=2)
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(dataset_to_json(ds)), encoding="utf-8")
+    ann = ds.annotations[0]
+    dets_path = tmp_path / "dets.jsonl"
+    for category in (2, -1, 10**30):
+        lines = [
+            json.dumps({"image_id": ann.image_id, "category": c, "score": 1.0, "box": list(ann.bbox)})
+            for c in (1, category)
+        ]
+        dets_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["eval", str(dets_path), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"detections line 2: category {category} is not a class index of the dataset [0, 2)" in captured.err
+
+
 def test_pose_encode_decode_via_cli(tmp_path, capsys):
     doc = {
         "images": [{"id": 1, "width": 64, "height": 64}],
@@ -483,6 +502,7 @@ def test_encode_and_loss_bytes_equal_reference_splat_and_focal(tmp_path, capsys,
     (tmp_path / "ref").mkdir()
     out, files = _encode_and_loss(capsys, tmp_path / "new", dataset)
     monkeypatch.setattr(cpt.targets, "render_gaussian", reference_splat)
+    monkeypatch.setattr(cpt.targets, "_splat", reference_splats)
     monkeypatch.setattr(cpt.losses, "focal_loss", reference_focal_loss)
     ref_out, ref_files = _encode_and_loss(capsys, tmp_path / "ref", dataset)
     assert out == ref_out

@@ -1,8 +1,11 @@
 """Decoding: boxes from peaks, 3D attribute codecs, pose snapping."""
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpt import (
     DenseGrid,
@@ -18,7 +21,10 @@ from cpt import (
     encode_pose,
     to_input_space,
 )
+import cpt.decode
 from cpt.decode import REGRESSED, SNAPPED, Detection
+
+from oracles import reference_decode_boxes
 
 
 def rng(seed=0):
@@ -345,3 +351,75 @@ class TestDecodePose:
                 DenseGrid.zeros(4, 4, 1),
                 DenseGrid.zeros(4, 4, 2),
             )
+
+
+# values a network can put at a peak cell that scalar and elementwise arithmetic could treat differently
+MAP_SPECIALS = [math.nan, 0.0, -0.0, -2.5, 1e30, -1e30, 1e300, math.inf, -math.inf]
+# depth decodes with math.exp(-raw), which overflows for large finite negative raw values
+DEPTH_SPECIALS = [math.nan, 0.0, -0.0, 2.5, -2.5, math.inf, -math.inf]
+
+
+def _bits(value):
+    """A detection field with every float replaced by its IEEE bytes, so that -0.0 and NaN compare exactly."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _fields(det: Detection):
+    return tuple(_bits(getattr(det, f)) for f in Detection.__dataclass_fields__)
+
+
+@st.composite
+def decode_inputs(draw):
+    """Heatmaps with tied scores and regression maps holding special values, as float32 or float64."""
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grid(channels, specials):
+        data = r.normal(0.0, 3.0, (channels, h, w))
+        spots = r.random(data.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+        data[spots] = r.choice(specials, size=int(spots.sum()))
+        with np.errstate(over="ignore"):
+            return DenseGrid(data.astype(dtype))
+
+    heat = r.choice([0.0, 0.25, 0.5, 1.0], size=(c, h, w)) if draw(st.booleans()) else r.random((c, h, w))
+    maps = dict(heatmap=DenseGrid(heat.astype(dtype)), offset_map=grid(2, MAP_SPECIALS), size_map=grid(2, MAP_SPECIALS))
+    if draw(st.booleans()):
+        maps.update(
+            depth_map=grid(1, DEPTH_SPECIALS), dims_map=grid(3, MAP_SPECIALS), orientation_map=grid(8, MAP_SPECIALS)
+        )
+    options = dict(
+        top_k=draw(st.integers(1, c * h * w + 3)),
+        size_units=draw(st.sampled_from(["cells", "pixels"])),
+        stride=draw(st.integers(1, 8)),
+        per_class_top_k=draw(st.booleans()),
+    )
+    return maps, options
+
+
+class TestDecodeGather:
+    @given(inputs=decode_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_peak_reference(self, inputs):
+        maps, options = inputs
+        with np.errstate(invalid="ignore"):  # decode_orientation subtracts infinite logits
+            got = decode_boxes(**maps, **options)
+            want = reference_decode_boxes(**maps, **options)
+        assert [_fields(d) for d in got] == [_fields(d) for d in want]
+
+    def test_decoders_find_peaks_through_the_module_name(self, monkeypatch):
+        """The benchmark times peak extraction by wrapping cpt.decode.extract_peaks; both decoders must call it."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].channels)
+            return cpt.grid.extract_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(cpt.decode, "extract_peaks", counted)
+        ts = TestDecodePose().encode_scene(seed=1, num_people=2)[1]
+        assert decode_boxes(ts.heatmap, ts.offset, ts.size) and calls == [1]
+        assert TestDecodePose().decode(ts) and calls == [1, 1, 3]

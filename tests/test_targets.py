@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpt import (
+    DenseGrid,
     EncoderConfig,
     InputError,
     ObjectAnnotation,
@@ -12,11 +15,13 @@ from cpt import (
     encode_detection,
     encode_orientation,
     encode_pose,
+    render_gaussian,
     targets,
 )
 from cpt.decode import decode_depth
+from cpt.grid import MIN_RADIUS, _splat
 
-from oracles import reference_splat
+from oracles import reference_splat, reference_splats
 
 
 def cfg128(**kw):
@@ -268,8 +273,59 @@ def test_heatmaps_equal_copy_per_splat_reference(monkeypatch, seed):
     det, pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
     assert pose.clamped_centers >= 1 and pose.collisions
     monkeypatch.setattr(targets, "render_gaussian", reference_splat)
+    monkeypatch.setattr(targets, "_splat", reference_splats)
     ref_det, ref_pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
     assert det.heatmap.data.tobytes() == ref_det.heatmap.data.tobytes()
     assert pose.heatmap.data.tobytes() == ref_pose.heatmap.data.tobytes()
     assert pose.joint_heatmap.data.tobytes() == ref_pose.joint_heatmap.data.tobytes()
     assert np.count_nonzero(pose.joint_heatmap.data) > 0
+
+
+@st.composite
+def splat_lists(draw):
+    """Splats onto a grid of up to 3x12x12 cells: overlapping windows, centers off the grid, minimal sigmas."""
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    sigma = st.sampled_from([MIN_RADIUS / 3.0, 0.3, 1.0]) | st.floats(MIN_RADIUS / 3.0, 6.0)
+    splat = st.tuples(st.integers(0, c - 1), st.floats(-8.0, w + 8.0), st.floats(-8.0, h + 8.0), sigma)
+    splats = draw(st.lists(splat, max_size=12))
+    if splats and draw(st.booleans()):
+        splats.append(splats[0])  # the same window twice
+    return (c, h, w), splats
+
+
+class TestBatchedSplat:
+    @given(case=splat_lists(), dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_splat_in_order(self, case, dtype):
+        shape, splats = case
+        got, want = np.zeros(shape, dtype), np.zeros(shape, dtype)
+        _splat(got, splats)
+        reference_splats(want, splats)
+        assert got.tobytes() == want.tobytes()
+        # render_gaussian is the one-splat call of the same core
+        one = DenseGrid(np.zeros(shape, dtype))
+        for channel, px, py, sigma in splats:
+            assert render_gaussian(one, (px, py), channel, sigma) is one
+        assert one.data.tobytes() == want.tobytes()
+
+    @given(
+        size=st.sampled_from([4, 8, 24, 48]),
+        boxes=st.lists(
+            st.tuples(st.floats(-6.0, 54.0), st.floats(-6.0, 54.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_encode_heatmap_equals_one_reference_splat_per_object(self, size, boxes):
+        cfg = EncoderConfig(input_w=size, input_h=size, num_classes=2)
+        anns = [
+            ObjectAnnotation(bbox=(x, y, x + bw, y + bh), category=i % 2)
+            for i, (x, y, bw, bh) in enumerate(boxes)
+            if x <= size and y <= size and x + bw >= 0 and y + bh >= 0
+        ]
+        got = encode_detection(anns, cfg).heatmap.data
+        want = DenseGrid.zeros(cfg.grid_w, cfg.grid_h, 2)
+        for ann in anns:
+            cx, cy = targets._center_cell(ann, cfg)[:2]
+            want = reference_splat(want, (float(cx), float(cy)), ann.category, targets._object_sigma(ann, cfg))
+        assert got.tobytes() == want.data.tobytes()
