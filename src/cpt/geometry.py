@@ -76,6 +76,10 @@ class AnchorConfig:
         for name in ("sizes", "ratios"):
             if not all(0 < v < math.inf for v in getattr(self, name)):
                 raise InputError(f"anchor {name} must be finite and > 0, got {getattr(self, name)}")
+        for k, (w, h) in enumerate(anchor_shapes(self).tolist()):
+            if not math.isfinite(w * h):  # both anchor paths multiply each anchor's sides
+                size, ratio = self.sizes[k // len(self.ratios)], self.ratios[k % len(self.ratios)]
+                raise InputError(f"anchor size {size} at ratio {ratio}: its area overflows to inf")
         if not 0 < self.resize_shorter < math.inf:
             raise InputError(f"resize_shorter must be finite and > 0, got {self.resize_shorter}")
         if self.stride < 1:

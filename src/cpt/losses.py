@@ -70,8 +70,69 @@ class LossReport:
     gradients: dict[str, DenseGrid] = field(default_factory=dict)
 
 
-# cells per block of focal_loss: its few block-sized float64 temporaries stay in L2
-_FOCAL_BLOCK = 1 << 14
+# terms per block of focal_loss at most: its few block-sized float64 buffers stay in L2
+_FOCAL_BLOCK = 1 << 15
+# np.sum adds a contiguous float64 run of at most this many terms in one loop
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_blocks(n: int, cap: int) -> tuple[list[int], int | tuple]:
+    """Cut np.sum's pairwise tree over n contiguous float64 terms into its largest nodes of at most cap terms.
+
+    np.sum adds a run of n <= 128 terms in one loop and splits a longer run
+    after its first n//2 - (n//2) % 8 terms, summing both parts the same way.
+    Returns the block edges (one more than the blocks) and the tree over the
+    blocks: a block's index, or a (left, right) pair of trees. The blocks'
+    np.sums added along the tree (_tree_sum) give np.sum of all n terms, bit
+    for bit. A run of one loop is never split, so with cap < 128 a block can
+    hold more than cap terms.
+    """
+    edges = [0]
+
+    def cut(n: int):
+        if n <= max(cap, _PAIRWISE_LEAF):
+            edges.append(edges[-1] + n)
+            return len(edges) - 2
+        half = n // 2 - n // 2 % 8
+        return cut(half), cut(n - half)
+
+    return edges, cut(n)
+
+
+def _tree_sum(tree, sums) -> float:
+    """The block sums added along a _pairwise_blocks tree."""
+    if isinstance(tree, tuple):
+        return _tree_sum(tree[0], sums) + _tree_sum(tree[1], sums)
+    return sums[tree]
+
+
+def _focal_blocks(pos: np.ndarray, size: int, cap: int) -> tuple[np.ndarray, np.ndarray, int | tuple]:
+    """focal_loss's blocks over a grid of size cells whose positive cells are pos, sorted.
+
+    The blocks are the _pairwise_blocks of the negative terms (every other
+    cell, in flat order), each with the positive cells that follow its last
+    negative cell. Returns the blocks' cell edges, the positive cells before
+    each edge, and the tree.
+    """
+    edges, tree = _pairwise_blocks(size - pos.size, cap)
+    edges = np.array(edges)
+    # pos[i] - i negative cells come before positive cell i
+    cells = edges + np.searchsorted(pos - np.arange(pos.size), edges, side="right")
+    cells[0] = 0  # positives before the first negative cell open block 0
+    return cells, cells - edges, tree
+
+
+class _FocalResult(tuple):
+    """focal_loss's (value, gradient) pair, carrying in .positives the positive-cell count its pass found.
+
+    total_loss reads the count from here, so it still calls focal_loss, the
+    one name that tracers wrap and tests swap for a reference.
+    """
+
+    def __new__(cls, value: float, grad: DenseGrid, positives: int):
+        pair = super().__new__(cls, (value, grad))
+        pair.positives = positives
+        return pair
 
 
 def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalParams()) -> tuple[float, DenseGrid]:
@@ -83,16 +144,18 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     through the clamp: zero where the raw prediction sits in a clamped-flat
     region.
 
-    Cost: one pass over the grid, block by block (`_FOCAL_BLOCK` cells), each
-    block running a fixed number of float64 ufuncs on temporaries that stay in
-    cache, plus work proportional to the nonzero target cells. Where the
-    target is 0 the penalty (1 - 0)^beta is exactly 1, so it is applied only
-    on the target's support, and the positive branch only at the positive
-    cells. The two full-size outputs are the gradient and the negative terms
-    without the positive cells. Blocking changes no bit: the float32 ->
-    float64 cast is exact, every op but the sum is elementwise, and the one
-    sum runs over the same array, in the same order, as an unblocked
-    evaluation would form.
+    Cost: one pass over the grid, block by block, each block running a fixed
+    number of float64 ufuncs into buffers sized to the largest block, plus
+    work proportional to the nonzero target cells. Where the target is 0 the
+    penalty (1 - 0)^beta is exactly 1, so it is applied only on the target's
+    support, and the positive branch only at the positive cells. The one
+    full-size array is the gradient. The blocks are the nodes of np.sum's
+    pairwise tree over the negative terms (every cell but the positives, in
+    flat order) that hold at most `_FOCAL_BLOCK` terms; each block sums its
+    own terms and the sums are added along the tree. So blocking changes no
+    bit: the float32 -> float64 cast is exact, every other op but the sum is
+    elementwise, and the sum adds the same terms in the same order as np.sum
+    of all the negative terms would.
     """
     if pred.data.shape != target.data.shape:
         raise InputError(f"shape mismatch: pred {pred.data.shape} vs target {target.data.shape}")
@@ -115,44 +178,53 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     one_mp = 1.0 - yp
     grad_pos = (a * one_mp ** (a - 1.0) * log_yp - one_mp**a / yp) / n
 
+    cells, pos_at, tree = _focal_blocks(pos, raw.size, _FOCAL_BLOCK)
+    sup_at, pos_at, cells = np.searchsorted(sup, cells).tolist(), pos_at.tolist(), cells.tolist()
+
     grad = np.empty(raw.size)
-    # the negative terms without the positive cells, in flat order: a full-grid
-    # sum with zeros at those cells would round differently
-    negs = np.empty(raw.size - pos.size)
-    for start in range(0, raw.size, _FOCAL_BLOCK):
-        stop = min(start + _FOCAL_BLOCK, raw.size)
-        s0, s1 = np.searchsorted(sup, (start, stop))
-        p0, p1 = np.searchsorted(pos, (start, stop))
+    width = max(c1 - c0 for c0, c1 in zip(cells, cells[1:]))
+    yhat_buf, log_buf, pow_buf, t_buf, neg_buf = np.empty((5, width))
+    low_buf, high_buf = np.empty((2, width), dtype=bool)
+    sums = []
+    for j in range(len(cells) - 1):
+        start, stop = cells[j], cells[j + 1]
+        k, (s0, s1), (p0, p1) = stop - start, sup_at[j : j + 2], pos_at[j : j + 2]
         bsup, bpen, bpos = sup[s0:s1] - start, pen[s0:s1], pos[p0:p1] - start
 
-        yhat = raw[start:stop].astype(np.float64)
+        yhat = yhat_buf[:k]
+        np.copyto(yhat, raw[start:stop])
         # compared in float64, as clamped: in float32, the float32 value nearest eps
         # (just below it) would compare equal to eps and escape the mask
-        clamped = (yhat < eps) | (yhat > 1.0 - eps)
+        clamped = np.less(yhat, eps, out=low_buf[:k])
+        clamped |= np.greater(yhat, 1.0 - eps, out=high_buf[:k])
         np.clip(yhat, eps, 1.0 - eps, out=yhat)
 
         # negative branch without the penalty: yhat^a log(1 - yhat)
-        log_1m = np.negative(yhat)
+        log_1m = np.negative(yhat, out=log_buf[:k])
         np.log1p(log_1m, out=log_1m)
-        yhat_a = yhat**a
-        neg = yhat_a * log_1m
+        if a == 2.0:  # yhat ** 2 is yhat * yhat and yhat ** 1 a copy of yhat
+            yhat_a = np.multiply(yhat, yhat, out=pow_buf[:k])
+            t = np.multiply(yhat, a, out=t_buf[:k])
+        else:
+            yhat_a = yhat**a
+            t = yhat ** (a - 1.0)
+            t *= a
+        neg = np.multiply(yhat_a, log_1m, out=neg_buf[:k])
         neg[bsup] = bpen * yhat_a[bsup] * log_1m[bsup]
-        negs[start - p0 : stop - p1] = np.delete(neg, bpos) if p1 > p0 else neg
+        sums.append((np.delete(neg, bpos) if p1 > p0 else neg).sum())
 
         # gradient: yhat^a / (1 - yhat) - a yhat^(a-1) log(1 - yhat), penalized on the support
         g = grad[start:stop]
         np.subtract(1.0, yhat, out=g)
         np.divide(yhat_a, g, out=g)
-        t = yhat ** (a - 1.0)
-        t *= a
         t *= log_1m
         g -= t
         g[bsup] *= bpen
         g /= n
         g[bpos] = grad_pos[p0:p1]
         g[clamped] = 0.0
-    value = -((one_mp**a * log_yp).sum() + negs.sum()) / n
-    return float(value), DenseGrid(grad.reshape(pred.data.shape))
+    value = -((one_mp**a * log_yp).sum() + _tree_sum(tree, sums)) / n
+    return _FocalResult(float(value), DenseGrid(grad.reshape(pred.data.shape)), pos.size)
 
 
 def _read_cells(pred: DenseGrid, records) -> tuple[np.ndarray, tuple]:
@@ -328,7 +400,8 @@ def total_loss(
         if head in preds and preds[head].data.shape != (c, *grid):
             raise InputError(f"{head} head expects shape {(c, *grid)}, grid has {preds[head].data.shape}")
 
-    lk, g_hm = focal_loss(preds["heatmap"], targets.heatmap, focal_params)
+    focal = focal_loss(preds["heatmap"], targets.heatmap, focal_params)
+    lk, g_hm = focal
     loff, g_off = masked_l1(preds["offset"], targets.objects, "offset")
     lsize, g_size = masked_l1(preds["size"], targets.objects, "size")
     report = LossReport(
@@ -337,7 +410,7 @@ def total_loss(
         size=lsize,
         total=lk + weights.size * lsize + weights.offset * loff,
         n_objects=len(targets.objects),
-        n_positive_cells=int(np.count_nonzero(targets.heatmap.data == 1.0)),
+        n_positive_cells=focal.positives,
         gradients={"heatmap": g_hm, "offset": g_off, "size": g_size},
     )
 

@@ -61,6 +61,10 @@ class EncoderConfig:
                 f"input size ({self.input_w}, {self.input_h}) not divisible by stride "
                 f"{self.output_stride}; pad at ingestion (EncoderConfig.for_image does)"
             )
+        if self.num_classes * self.grid_h * self.grid_w * 8 > np.iinfo(np.intp).max:
+            raise InputError(
+                f"a {self.num_classes}x{self.grid_h}x{self.grid_w} float64 heatmap is larger than numpy can index"
+            )
         if not 0 < self.min_overlap < 1:
             raise InputError(f"min_overlap must be in (0, 1), got {self.min_overlap}")
         if self.size_units not in SIZE_UNITS:

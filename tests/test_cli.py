@@ -495,6 +495,12 @@ def _encode_and_loss(capsys, work, dataset):
     return out, files
 
 
+def _reference_focal_result(pred, target, params):
+    """reference_focal_loss's pair as focal_loss returns it, with the positive-cell count that total_loss reads."""
+    positives = int(np.count_nonzero(target.data == 1.0))
+    return cpt.losses._FocalResult(*reference_focal_loss(pred, target, params), positives)
+
+
 def test_encode_and_loss_bytes_equal_reference_splat_and_focal(tmp_path, capsys, monkeypatch):
     dataset = tmp_path / "ds.json"
     _pose_dataset(dataset, 17, 3)
@@ -503,7 +509,7 @@ def test_encode_and_loss_bytes_equal_reference_splat_and_focal(tmp_path, capsys,
     out, files = _encode_and_loss(capsys, tmp_path / "new", dataset)
     monkeypatch.setattr(cpt.targets, "render_gaussian", reference_splat)
     monkeypatch.setattr(cpt.targets, "_splat", reference_splats)
-    monkeypatch.setattr(cpt.losses, "focal_loss", reference_focal_loss)
+    monkeypatch.setattr(cpt.losses, "focal_loss", _reference_focal_result)
     ref_out, ref_files = _encode_and_loss(capsys, tmp_path / "ref", dataset)
     assert out == ref_out
     assert files.keys() == ref_files.keys()
@@ -602,6 +608,8 @@ def _unit_grids(tmp_path):
         ("loss", ["--lambda-dim", "inf"], "loss weight dims must be >= 0 and finite"),
         ("loss", ["--lambda-ori", "inf"], "loss weight orientation must be >= 0 and finite"),
         ("loss", ["--lambda-ori=-1"], "loss weight orientation must be >= 0 and finite"),
+        ("anchors", ["--sizes", "1e308"], "anchor size 1e+308 at ratio 0.5: its area overflows to inf"),
+        ("encode", ["--classes", str(2**70)], f"a {2**70}x32x32 float64 heatmap is larger than numpy can index"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):

@@ -127,18 +127,53 @@ EDGES = (0.0, 1e-4, 1.0 - 1e-4, 1.0, -0.5, 1.5, np.nextafter(1e-4, 0.0), np.next
 BLOCKS = (1, 3, 64, losses._FOCAL_BLOCK)
 
 
+# term counts around np.sum's unroll of 8, its 128-term loops and powers of two, and one 80x128x128 grid
+TREE_SIZES = (0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 511, 513, 4095, 4097, 65535, 65537, 80 * 128 * 128 - 37)
+
+
+class TestPairwiseBlocks:
+    @pytest.mark.parametrize("cap", (1, 3, 64, 128, losses._FOCAL_BLOCK))
+    @pytest.mark.parametrize("n", TREE_SIZES)
+    def test_block_sums_along_the_tree_are_np_sum(self, n, cap):
+        r = rng(n)
+        terms = r.standard_normal(n) * 10.0 ** r.integers(-30, 30, n)
+        edges, tree = losses._pairwise_blocks(n, cap)
+        assert edges[0] == 0 and edges[-1] == n
+        assert edges == [0, 0] or all(0 < b - a <= max(cap, 128) for a, b in zip(edges, edges[1:]))
+        sums = [terms[a:b].sum() for a, b in zip(edges, edges[1:])]
+        assert np.float64(losses._tree_sum(tree, sums)).tobytes() == np.float64(terms.sum()).tobytes()
+
+    def test_cells_follow_the_positives(self):
+        # 36 negative terms are one np.sum loop, so one block even at cap 1
+        cells, before, tree = losses._focal_blocks(np.array([0, 5, 6, 39]), 40, 1)
+        assert cells.tolist() == [0, 40] and before.tolist() == [0, 4] and tree == 0
+        # 390 terms split 192 | 198, then 96 | 96 and 96 | 102; positives 288..297 follow the last term of block 2
+        cells, before, tree = losses._focal_blocks(np.arange(288, 298), 400, 128)
+        assert cells.tolist() == [0, 96, 192, 298, 400] and before.tolist() == [0, 0, 0, 10, 10]
+        assert tree == ((0, 1), (2, 3))
+
+
+def block_cells(y: np.ndarray, block: int) -> np.ndarray:
+    """The cell edges of focal_loss's blocks on target y with block cap block."""
+    return losses._focal_blocks(np.flatnonzero(y.ravel() == 1.0), y.size, block)[0]
+
+
 @st.composite
 def focal_cases(draw):
     """Targets with zero, fractional and exactly-1 cells; predictions with clamp-edge and NaN cells.
 
-    Also draws the block size of focal_loss. A grid spans one to about three
-    blocks, and the two cells at each block edge draw their own kinds, so
-    support cells, exact positives and clamp-edge and NaN predictions fall on
-    both sides of block edges.
+    Also draws the block cap of focal_loss. A grid spans one to about three
+    blocks. The blocks are cut along np.sum's tree over the negative cells, so
+    their cell edges shift with the positives; they are found from the drawn
+    target. A block never opens with a positive; in mixed targets, half the
+    blocks followed by an edge end with one, moved there from inside the
+    block so that no edge moves. The other cells at each edge draw zero or
+    support targets, and the two cells at each edge draw clamp-edge and NaN
+    predictions, so these fall on both sides of block edges.
     """
     block = draw(st.sampled_from(BLOCKS))
     c, h = draw(st.integers(1, 3)), draw(st.integers(1, 12))
-    wide = block // (c * h) + 1  # the narrowest width whose grid spans two blocks
+    wide = max(block, losses._PAIRWISE_LEAF) // (c * h) + 1  # the narrowest width whose grid spans two blocks
     shape = (c, h, draw(st.integers(1, 12) | st.integers(wide, 3 * wide)))
     r = rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["mixed", "no positives", "all positives", "all zero"]))
@@ -153,10 +188,17 @@ def focal_cases(draw):
     pred = r.uniform(-0.1, 1.1, size=shape)
     edge = r.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
     pred[edge] = r.choice(EDGES, size=int(edge.sum()))
-    starts = np.arange(block, pred.size, block)
+    cells = block_cells(y, block)
+    starts = cells[1:-1]
     near = np.concatenate([starts - 1, starts])  # the last cell of a block and the first of the next
-    if kind == "mixed":  # zero, support or exact positive
-        y.flat[near] = np.choose(r.integers(0, 3, near.size), [0.0, r.random(near.size), 1.0])
+    if kind == "mixed":
+        for start, stop in zip(cells[:-2], starts):
+            # a block's last positive moved to its last cell moves no edge
+            inner = start + np.flatnonzero(y.flat[start : stop - 1] == 1.0)
+            if inner.size and r.random() < 0.5:
+                y.flat[inner[-1]], y.flat[stop - 1] = y.flat[stop - 1], 1.0
+        off = near[y.flat[near] != 1.0]  # zero or support: a new or lost positive would move the edges
+        y.flat[off] = np.where(r.random(off.size) < 0.5, 0.0, r.random(off.size))
     pred.flat[near] = np.where(r.random(near.size) < 0.5, r.choice(EDGES, size=near.size), pred.flat[near])
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     params = draw(
@@ -199,15 +241,17 @@ class TestFocalMatchesReference:
 
     def test_bench_like_grid_bytes(self):
         pred, target = bench_like_case()
-        assert target.data.size > 40 * losses._FOCAL_BLOCK and np.count_nonzero(target.data == 1.0) > 20
-        value, grad = focal_loss(pred, target)
+        with mock.patch.object(losses, "_pairwise_blocks", wraps=losses._pairwise_blocks) as cut:
+            value, grad = focal_loss(pred, target)
+        edges, _ = losses._pairwise_blocks(*cut.call_args.args)
+        assert len(edges) - 1 >= 40 and np.count_nonzero(target.data == 1.0) > 20
         ref_value, ref_grad = reference_focal_loss(pred, target)
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         assert grad.data.tobytes() == ref_grad.data.tobytes()
 
 
-def test_focal_memory_is_two_grids():
-    """The gradient and the negative terms are the only full-size float64 arrays focal_loss allocates."""
+def test_focal_memory_is_one_grid():
+    """The gradient is the only full-size float64 array focal_loss allocates."""
     pred, target = bench_like_case()
     tracemalloc.start()
     try:
@@ -215,7 +259,7 @@ def test_focal_memory_is_two_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * pred.data.size * 8
+    assert peak <= 1.25 * pred.data.size * 8
 
 
 class TestMaskedL1:
@@ -464,6 +508,13 @@ class TestTotalLoss:
         )
         assert abs(report.total - expected) <= 1e-12 * max(abs(expected), 1.0)
         assert set(report.gradients) == {"heatmap", "offset", "size", "depth", "dims", "orientation"}
+
+    def test_positive_cells_counted_by_the_focal_pass(self):
+        preds, ts = self.build(seed=6)
+        ts.heatmap.data[1, 0, :3] = 1.0  # three positives no object put there
+        report = total_loss(preds, ts)
+        assert report.n_positive_cells == np.count_nonzero(ts.heatmap.data == 1.0) >= 4
+        assert report.keypoint == focal_loss(preds["heatmap"], ts.heatmap)[0]
 
     def test_default_weights_worked_example(self):
         w = LossWeights()
