@@ -25,7 +25,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import InputError
 from .geometry import AnchorConfig, _iou, anchor_grid, anchor_positions, anchor_shapes, iou_matrix, resize_shorter
-from .targets import ObjectAnnotation
+from .targets import ObjectAnnotation, _center_cell, _grid_side
 
 # COCO size convention, on box area in original-image pixels
 SMALL_MAX_AREA = 32.0**2
@@ -94,36 +94,32 @@ def _groups(ds: Dataset) -> list[tuple[int, int, list[ObjectAnnotation]]]:
     return [(img, cat, grouped[(img, cat)]) for img, cat in sorted(grouped)]
 
 
-def _quantized_center(ann: ObjectAnnotation, stride: int) -> tuple[int, int]:
-    x1, y1, x2, y2 = ann.bbox
-    return (
-        int(math.floor((x1 + x2) / 2.0 / stride)),
-        int(math.floor((y1 + y2) / 2.0 / stride)),
-    )
-
-
 def count_center_collisions(ds: Dataset, stride: int = 4, oracle: bool = False) -> CollisionReport:
-    """Pairs of same-class objects in one image whose strided, floored centers coincide.
+    """Pairs of same-class objects in one image that the encoder puts on one grid cell.
 
-    The fast path hashes quantized centers; the oracle path compares every
-    pair directly. Both produce identical pair listings.
+    Cells follow the encoder's rule (targets._center_cell) on the grid that
+    EncoderConfig.for_image gives each image. The fast path hashes cells; the
+    oracle path compares every pair directly. Both produce identical pair
+    listings.
     """
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
 
+    grids = {m.id: (_grid_side(m.width, stride), _grid_side(m.height, stride)) for m in ds.images}
     pairs: list[CollisionPair] = []
     for image_id, category_id, anns in _groups(ds):
+        gw, gh = grids[image_id]
+        cells = [_center_cell(a, stride, gw, gh)[:2] for a in anns]
         if oracle:
-            centers = [_quantized_center(a, stride) for a in anns]
             for i in range(len(anns)):
                 for j in range(i + 1, len(anns)):
-                    if centers[i] == centers[j]:
+                    if cells[i] == cells[j]:
                         pairs.append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
         else:
-            by_center: dict[tuple[int, int], list[int]] = {}
-            for a in anns:
-                by_center.setdefault(_quantized_center(a, stride), []).append(a.id)
-            for ids in by_center.values():
+            by_cell: dict[tuple[int, int], list[int]] = {}
+            for a, cell in zip(anns, cells):
+                by_cell.setdefault(cell, []).append(a.id)
+            for ids in by_cell.values():
                 for i in range(len(ids)):
                     for j in range(i + 1, len(ids)):
                         pairs.append(CollisionPair(image_id, category_id, ids[i], ids[j]))

@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .decode import Detection
 from .errors import InputError
 from .geometry import iou_matrix
@@ -83,21 +85,13 @@ def average_precision(
     if num_gt == 0:
         return None
     order = sorted(range(len(matches)), key=lambda i: (-matches[i][0], i))
-    precisions = []
-    recalls = []
-    tp = 0
-    for rank, i in enumerate(order, start=1):
-        tp += bool(matches[i][1])
-        precisions.append(tp / rank)
-        recalls.append(tp / num_gt)
+    tp = np.cumsum([bool(matches[i][1]) for i in order], dtype=np.int64)
+    precisions = tp / np.arange(1, len(order) + 1)
+    recalls = tp / num_gt  # never fall, so the ranks at or above a recall are the suffix searchsorted finds
+    best_from = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)  # best precision from each rank on
     total = 0.0
-    for k in range(recall_points):
-        r = k / (recall_points - 1)
-        best = 0.0
-        for p, rec in zip(precisions, recalls):
-            if rec >= r and p > best:
-                best = p
-        total += best
+    for best in best_from[np.searchsorted(recalls, np.arange(recall_points) / (recall_points - 1))].tolist():
+        total += best  # sequential in recall order: sum() may compensate and change the bits
     return total / recall_points
 
 

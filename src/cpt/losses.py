@@ -445,7 +445,9 @@ def gradcheck(
 
     fn maps an array to (value, gradient-of-same-shape). Relative error uses
     denominator max(|fd|, |analytic|, 1e-8). Coordinates flagged in exclude
-    are skipped (callers flag clamp edges, L1 kinks and softmax ties).
+    are skipped (callers flag clamp edges, L1 kinks and softmax ties). A step
+    that leaves no coordinate to check, or that rounds away at a checked
+    coordinate (x + step == x), is an InputError: no check would be made.
     """
     if not 0 < step < math.inf:
         raise InputError(f"gradcheck step must be a finite number > 0, got {step}")
@@ -462,6 +464,8 @@ def gradcheck(
     for i in range(flat.size):
         if skip[i]:
             continue
+        if flat[i] + step == flat[i] or flat[i] - step == flat[i]:
+            raise InputError(f"gradcheck step {step} is lost in rounding: {flat[i]} +/- step rounds back to {flat[i]}")
         x = flat.copy()
         x[i] = flat[i] + step
         vp = fn(x.reshape(x0.shape))[0]
@@ -471,6 +475,8 @@ def gradcheck(
         rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
         max_rel = max(max_rel, float(rel))
         checked += 1
+    if checked == 0:
+        raise InputError(f"gradcheck step {step} leaves no coordinate to check ({int(skip.sum())} of {flat.size} excluded)")
     return GradcheckReport(max_rel_error=max_rel, checked=checked, excluded=int(skip.sum()))
 
 

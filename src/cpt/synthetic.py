@@ -8,12 +8,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from .dataset import CategoryInfo, Dataset, ImageInfo
 from .errors import InputError
 from .targets import ObjectAnnotation
+
+# make_sparse_dataset and make_overlap_dataset scenes: SCENE_SIDE-px square images in SCENE_CLASSES classes, laid
+# out on lattices of stride-SCENE_STRIDE cells, with up to SPARSE_MAX_OBJECTS boxes or OVERLAP_MAX_PAIRS pairs each
+SCENE_SIDE = 256
+SCENE_CLASSES = 3
+SCENE_STRIDE = 4
+SPARSE_MAX_OBJECTS = 12
+OVERLAP_MAX_PAIRS = 4
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -33,6 +42,28 @@ def distinct_cells(rng: np.random.Generator, count: int, gw: int, gh: int) -> li
     return [(int(f % gw), int(f // gw)) for f in flat]
 
 
+def _scenes(seed: int, num_images: int, max_slots: int, num_classes: int, image_w: int, image_h: int, stride: int,
+            spacing: int, place: Callable[[np.random.Generator, int, int], list[dict]]) -> Dataset:
+    """The per-image loop of every generator, so every generator draws in one fixed order.
+
+    Slots are the cells of a lattice with `spacing` grid cells between neighbours. Each image draws its slot count
+    in [1, max_slots], then that many distinct slots (distinct_cells). `place(rng, cx, cy)` draws the annotations of
+    the slot centered on grid cell (cx, cy), as ObjectAnnotation fields; they are numbered from 1 in creation order.
+    """
+    gw, gh = image_w // stride // spacing, image_h // stride // spacing
+    if max_slots > gw * gh:
+        raise InputError(f"max_objects {max_slots} exceeds the {gw}x{gh} cell budget")
+    rng = generator(seed)
+    ds = Dataset(categories=_categories(num_classes))
+    for image_id in range(1, num_images + 1):
+        ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
+        count = int(rng.integers(1, max_slots + 1))
+        for sx, sy in distinct_cells(rng, count, gw, gh):
+            for fields in place(rng, sx * spacing + spacing // 2, sy * spacing + spacing // 2):
+                ds.annotations.append(ObjectAnnotation(**fields, id=len(ds.annotations) + 1, image_id=image_id))
+    return ds
+
+
 def make_dataset(
     seed: int,
     num_images: int = 100,
@@ -48,121 +79,60 @@ def make_dataset(
     Distinct cells guarantee a collision-free encode/decode roundtrip; boxes
     lie strictly inside the image so ingestion never clamps.
     """
-    gw, gh = image_w // stride, image_h // stride
-    if max_objects > gw * gh:
-        raise InputError(f"max_objects {max_objects} exceeds the {gw}x{gh} cell budget")
-    rng = generator(seed)
-    ds = Dataset(categories=_categories(num_classes))
-    ann_id = 1
-    for image_id in range(1, num_images + 1):
-        ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
-        count = int(rng.integers(1, max_objects + 1))
-        for cx, cy in distinct_cells(rng, count, gw, gh):
-            px = (cx + rng.uniform(0.05, 0.95)) * stride
-            py = (cy + rng.uniform(0.05, 0.95)) * stride
-            hw = rng.uniform(0.3, 0.98) * min(px, image_w - px)
-            hh = rng.uniform(0.3, 0.98) * min(py, image_h - py)
-            extra = {}
-            if with_3d:
-                yaw = float(rng.uniform(-math.pi, math.pi))
-                extra = {
-                    "depth": float(rng.uniform(1.0, 60.0)),
-                    "dims3d": tuple(rng.uniform(0.5, 5.0, size=3)),
-                    "yaw": yaw if yaw > -math.pi else math.pi,
-                }
-            ds.annotations.append(
-                ObjectAnnotation(
-                    bbox=(px - hw, py - hh, px + hw, py + hh),
-                    category=int(rng.integers(0, num_classes)),
-                    id=ann_id,
-                    image_id=image_id,
-                    **extra,
-                )
+
+    def place(rng, cx, cy):
+        px = (cx + rng.uniform(0.05, 0.95)) * stride
+        py = (cy + rng.uniform(0.05, 0.95)) * stride
+        hw = rng.uniform(0.3, 0.98) * min(px, image_w - px)
+        hh = rng.uniform(0.3, 0.98) * min(py, image_h - py)
+        fields = {"bbox": (px - hw, py - hh, px + hw, py + hh)}
+        if with_3d:
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            fields.update(
+                yaw=yaw if yaw > -math.pi else math.pi,
+                depth=float(rng.uniform(1.0, 60.0)),
+                dims3d=tuple(rng.uniform(0.5, 5.0, size=3)),
             )
-            ann_id += 1
-    return ds
+        return [{**fields, "category": int(rng.integers(0, num_classes))}]
+
+    return _scenes(seed, num_images, max_objects, num_classes, image_w, image_h, stride, 1, place)
 
 
-def make_sparse_dataset(
-    seed: int,
-    num_images: int = 20,
-    max_objects: int = 12,
-    num_classes: int = 3,
-    image_w: int = 256,
-    image_h: int = 256,
-    stride: int = 4,
-) -> Dataset:
+def make_sparse_dataset(seed: int, num_images: int = 20) -> Dataset:
     """Small boxes on a widely spaced lattice: every pairwise IoU is zero."""
-    spacing = 8  # cells between candidate centers; boxes stay well inside one slot
-    gw, gh = image_w // stride // spacing, image_h // stride // spacing
-    if max_objects > gw * gh:
-        raise InputError(f"max_objects {max_objects} exceeds the sparse {gw}x{gh} slot budget")
-    rng = generator(seed)
-    ds = Dataset(categories=_categories(num_classes))
-    ann_id = 1
-    for image_id in range(1, num_images + 1):
-        ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
-        count = int(rng.integers(1, max_objects + 1))
-        for sx, sy in distinct_cells(rng, count, gw, gh):
-            cx, cy = sx * spacing + spacing // 2, sy * spacing + spacing // 2
-            px = (cx + rng.uniform(0.05, 0.95)) * stride
-            py = (cy + rng.uniform(0.05, 0.95)) * stride
-            hw = rng.uniform(0.8, 1.6) * stride
-            hh = rng.uniform(0.8, 1.6) * stride
-            ds.annotations.append(
-                ObjectAnnotation(
-                    bbox=(px - hw, py - hh, px + hw, py + hh),
-                    category=int(rng.integers(0, num_classes)),
-                    id=ann_id,
-                    image_id=image_id,
-                )
-            )
-            ann_id += 1
-    return ds
+    r = SCENE_STRIDE
+
+    def place(rng, cx, cy):
+        px = (cx + rng.uniform(0.05, 0.95)) * r
+        py = (cy + rng.uniform(0.05, 0.95)) * r
+        hw = rng.uniform(0.8, 1.6) * r
+        hh = rng.uniform(0.8, 1.6) * r
+        return [{"bbox": (px - hw, py - hh, px + hw, py + hh), "category": int(rng.integers(0, SCENE_CLASSES))}]
+
+    # 8 cells between candidate centers; boxes stay well inside one slot
+    return _scenes(seed, num_images, SPARSE_MAX_OBJECTS, SCENE_CLASSES, SCENE_SIDE, SCENE_SIDE, r, 8, place)
 
 
-def make_overlap_dataset(
-    seed: int,
-    num_images: int = 20,
-    pairs_per_image: int = 4,
-    num_classes: int = 3,
-    image_w: int = 256,
-    image_h: int = 256,
-    stride: int = 4,
-) -> Dataset:
+def make_overlap_dataset(seed: int, num_images: int = 20) -> Dataset:
     """Same-class pairs with high box IoU but distinct center cells.
 
     Each pair is a wide box plus a copy shifted by one cell, so decoding
     still sees two peaks while the boxes overlap far above 0.5 IoU. Pairs
     are laid out on a coarse lattice to keep different pairs disjoint.
     """
-    spacing = 16
-    gw, gh = image_w // stride // spacing, image_h // stride // spacing
-    if pairs_per_image > gw * gh:
-        raise InputError(f"pairs_per_image {pairs_per_image} exceeds the {gw}x{gh} slot budget")
-    rng = generator(seed)
-    ds = Dataset(categories=_categories(num_classes))
-    ann_id = 1
-    for image_id in range(1, num_images + 1):
-        ds.images.append(ImageInfo(id=image_id, width=image_w, height=image_h))
-        count = int(rng.integers(1, pairs_per_image + 1))
-        for sx, sy in distinct_cells(rng, count, gw, gh):
-            cx, cy = sx * spacing + spacing // 2, sy * spacing + spacing // 2
-            category = int(rng.integers(0, num_classes))
-            px = (cx + rng.uniform(0.3, 0.7)) * stride
-            py = (cy + rng.uniform(0.3, 0.7)) * stride
-            half = rng.uniform(4.0, 6.0) * stride  # >= 8 cells wide: 1-cell shift keeps IoU > 0.5
-            for shift in (0.0, float(stride)):
-                ds.annotations.append(
-                    ObjectAnnotation(
-                        bbox=(px - half + shift, py - half, px + half + shift, py + half),
-                        category=category,
-                        id=ann_id,
-                        image_id=image_id,
-                    )
-                )
-                ann_id += 1
-    return ds
+    r = SCENE_STRIDE
+
+    def place(rng, cx, cy):
+        category = int(rng.integers(0, SCENE_CLASSES))
+        px = (cx + rng.uniform(0.3, 0.7)) * r
+        py = (cy + rng.uniform(0.3, 0.7)) * r
+        half = rng.uniform(4.0, 6.0) * r  # >= 8 cells wide: 1-cell shift keeps IoU > 0.5
+        return [
+            {"bbox": (px - half + shift, py - half, px + half + shift, py + half), "category": category}
+            for shift in (0.0, float(r))
+        ]
+
+    return _scenes(seed, num_images, OVERLAP_MAX_PAIRS, SCENE_CLASSES, SCENE_SIDE, SCENE_SIDE, r, 16, place)
 
 
 def inject_center_collisions(ds: Dataset, seed: int, num_pairs: int) -> Dataset:

@@ -76,7 +76,7 @@ class EncoderConfig:
         stride = kwargs.get("output_stride", 4)
         if stride < 1:  # before the padding divides by it
             raise InputError(f"output_stride must be >= 1, got {stride}")
-        pad = lambda v: int(math.ceil(v / stride)) * stride
+        pad = lambda v: _grid_side(v, stride) * stride
         return cls(input_w=pad(width), input_h=pad(height), num_classes=num_classes, **kwargs)
 
     @property
@@ -224,14 +224,19 @@ def _object_sigma(ann: ObjectAnnotation, cfg: EncoderConfig) -> float:
     return gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
 
 
-def _center_cell(ann: ObjectAnnotation, cfg: EncoderConfig) -> tuple[int, int, float, float, bool]:
-    r = cfg.output_stride
+def _grid_side(side: float, stride: int) -> int:
+    """Grid cells along an image side of `side` px, zero-extended up to a stride multiple."""
+    return int(math.ceil(side / stride))
+
+
+def _center_cell(ann: ObjectAnnotation, r: int, gw: int, gh: int) -> tuple[int, int, float, float, bool]:
+    """The one center-cell rule: the floored strided center, clamped into the gw x gh grid, and its offset."""
     px, py = ann.center
     cx, cy = int(math.floor(px / r)), int(math.floor(py / r))
     clamped = False
-    if not (0 <= cx < cfg.grid_w and 0 <= cy < cfg.grid_h):
-        cx = min(max(cx, 0), cfg.grid_w - 1)
-        cy = min(max(cy, 0), cfg.grid_h - 1)
+    if not (0 <= cx < gw and 0 <= cy < gh):
+        cx = min(max(cx, 0), gw - 1)
+        cy = min(max(cy, 0), gh - 1)
         clamped = True
     return cx, cy, px / r - cx, py / r - cy, clamped
 
@@ -260,7 +265,7 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
         x1, y1, x2, y2 = ann.bbox
         if x1 > cfg.input_w or y1 > cfg.input_h or x2 < 0 or y2 < 0:
             raise InputError(f"annotation {i}: bbox {ann.bbox} lies outside the image; clamp at ingestion")
-        cx, cy, ox, oy, clamped = _center_cell(ann, cfg)
+        cx, cy, ox, oy, clamped = _center_cell(ann, r, gw, gh)
         if clamped:
             ts.clamped_centers += 1
 

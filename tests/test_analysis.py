@@ -103,6 +103,16 @@ class TestCenterCollisions:
         encoded = sum(encode_detection(anns, cfg).collision_count for anns in by_image.values())
         assert encoded == count_center_collisions(ds, stride=4).n_center
 
+    def test_far_edge_center_clamps_like_the_encoder(self):
+        # a zero-width box at x = 64 floors to cell 16 of a 16-cell row; the encoder clamps it onto cell 15
+        from cpt import EncoderConfig, encode_detection
+
+        ds = build_dataset({1: [(64, 10, 64, 14, 0), (60, 10, 62, 14, 0)]}, image_size=(64, 64))
+        cfg = EncoderConfig.for_image(64, 64, ds.num_classes)
+        assert encode_detection(ds.annotations, cfg).collision_count == 1
+        assert count_center_collisions(ds, stride=4).n_center == 1
+        assert count_center_collisions(ds, stride=4, oracle=True).n_center == 1
+
     def test_stride_validated(self):
         with pytest.raises(InputError):
             count_center_collisions(Dataset(), stride=0)

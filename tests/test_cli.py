@@ -224,6 +224,24 @@ def test_roundtrip_reports_collisions(tmp_path, capsys):
     assert report["detections"] == report["annotations"] - 3
 
 
+def test_edge_center_cell_collision_reported_by_roundtrip_and_collisions(tmp_path, capsys):
+    # a zero-width box on the far edge of a 64-px side: its floored center cell 16 clamps to 15, onto the other box
+    doc = {
+        "images": [{"id": 1, "width": 64, "height": 64}],
+        "categories": [{"id": 1, "name": "a"}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [64, 10, 0, 4]},
+            {"id": 2, "image_id": 1, "category_id": 1, "bbox": [60, 10, 2, 4]},
+        ],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = json.loads(run_ok(capsys, ["roundtrip", str(path)]))
+    assert report["missed"] == report["center_collisions"] == 1
+    for extra in ([], ["--oracle"]):
+        assert json.loads(run_ok(capsys, ["collisions", str(path)] + extra))["n_center"] == 1
+
+
 def test_nms_and_eval_pipeline(small_dataset, tmp_path, capsys):
     ds, path = small_dataset
     lines = []
@@ -610,6 +628,9 @@ def _unit_grids(tmp_path):
         ("loss", ["--lambda-ori=-1"], "loss weight orientation must be >= 0 and finite"),
         ("anchors", ["--sizes", "1e308"], "anchor size 1e+308 at ratio 0.5: its area overflows to inf"),
         ("encode", ["--classes", str(2**70)], f"a {2**70}x32x32 float64 heatmap is larger than numpy can index"),
+        ("gradcheck", ["--step", "1e300"], "gradcheck step 1e+300 leaves no coordinate to check"),
+        ("gradcheck", ["--step", "1e-300"], "gradcheck step 1e-300 is lost in rounding"),
+        ("gradcheck", ["--step", "5e-324"], "gradcheck step 5e-324 is lost in rounding"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):

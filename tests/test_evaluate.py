@@ -125,17 +125,16 @@ class TestAveragePrecision:
         assert ap == reference_average_precision(matches, 2, 101)
 
     def test_matches_reference_on_random_instances(self):
+        # empty lists, all-tied scores and more true positives than ground truths included
         r = rng(21)
-        for trial in range(120):
-            n = int(r.integers(1, 40))
+        for trial in range(240):
+            n = int(r.integers(0, 40))
             num_gt = int(r.integers(1, 30))
-            matches = [(float(r.choice([0.9, 0.5, r.uniform(0, 1)])), bool(r.integers(2))) for _ in range(n)]
-            tp_cap = min(sum(m[1] for m in matches), num_gt)
-            matches = [(s, tp if i < tp_cap or not tp else False) for i, (s, tp) in enumerate(matches)]
+            tied = trial % 4 == 0
+            matches = [(0.5 if tied else float(r.choice([0.9, 0.5, r.uniform(0, 1)])), bool(r.integers(2))) for _ in range(n)]
             for points in (11, 101):
                 got = average_precision(matches, num_gt, points)
-                want = reference_average_precision(matches, num_gt, points)
-                assert got == pytest.approx(want, abs=1e-12), f"trial {trial}"
+                assert got == reference_average_precision(matches, num_gt, points), f"trial {trial}"
 
     def test_recall_points_validated(self):
         with pytest.raises(InputError):

@@ -326,6 +326,6 @@ class TestBatchedSplat:
         got = encode_detection(anns, cfg).heatmap.data
         want = DenseGrid.zeros(cfg.grid_w, cfg.grid_h, 2)
         for ann in anns:
-            cx, cy = targets._center_cell(ann, cfg)[:2]
+            cx, cy = targets._center_cell(ann, cfg.output_stride, cfg.grid_w, cfg.grid_h)[:2]
             want = reference_splat(want, (float(cx), float(cy)), ann.category, targets._object_sigma(ann, cfg))
         assert got.tobytes() == want.data.tobytes()
