@@ -20,7 +20,7 @@ from .errors import InputError, InternalError
 from .evaluate import evaluate_detections
 from .geometry import AnchorConfig, greedy_nms
 from .records import read_detections, read_targets, to_json, write_targets
-from .targets import EncoderConfig, encode_detection, encode_pose
+from .targets import _HEADS, _REQUIRED_HEADS, EncoderConfig, encode_detection, encode_pose
 from .tensorio import read_grid, write_grid
 
 
@@ -67,6 +67,9 @@ def _load_dataset_warned(path) -> Dataset:
 def _cmd_encode(args) -> int:
     ds = _load_dataset_warned(args.dataset)
     num_classes = args.classes if args.classes is not None else max(ds.num_classes, 1)
+    settings = dict(output_stride=args.stride, num_joints=args.joints, min_overlap=args.min_overlap, size_units=args.units)
+    if not ds.images:  # no image's config would check the flags: a one-pixel image's does
+        EncoderConfig.for_image(1, 1, num_classes, **settings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_image = ds.annotations_by_image()
@@ -82,15 +85,7 @@ def _cmd_encode(args) -> int:
         "images": [],
     }
     for img in ds.images:
-        cfg = EncoderConfig.for_image(
-            img.width,
-            img.height,
-            num_classes,
-            output_stride=args.stride,
-            num_joints=args.joints,
-            min_overlap=args.min_overlap,
-            size_units=args.units,
-        )
+        cfg = EncoderConfig.for_image(img.width, img.height, num_classes, **settings)
         anns = by_image[img.id]
         ts = (encode_pose if args.pose else encode_detection)(anns, cfg)
         manifest["images"].append(write_targets(ts, out_dir / f"image_{img.id}", img.id, [a.id for a in anns]))
@@ -149,8 +144,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_loss(args) -> int:
     ts = read_targets(args.manifest, args.image)
-    heads = ("heatmap", "offset", "size", "depth", "dims", "orientation")
-    preds = {head: read_grid(getattr(args, f"pred_{head}")) for head in heads if getattr(args, f"pred_{head}")}
+    preds = {head: read_grid(getattr(args, f"pred_{head}")) for head in _HEADS if getattr(args, f"pred_{head}")}
     weights = losses.LossWeights(
         size=args.lambda_size,
         offset=args.lambda_off,
@@ -233,6 +227,8 @@ def _cmd_nms(args) -> int:
     groups: dict[int, list[tuple[Detection, dict]]] = {}
     for raw, image_id, det in read_detections(args.detections):
         groups.setdefault(image_id, []).append((det, raw))
+    if not groups:  # no group's suppression would check the threshold
+        greedy_nms([], args.iou_thresh)
     for image_id in sorted(groups):
         dets = [d for d, _ in groups[image_id]]
         kept = greedy_nms(dets, args.iou_thresh)
@@ -271,21 +267,21 @@ def _cmd_roundtrip(args) -> int:
     ds = _load_dataset_warned(args.dataset)
     by_image = ds.annotations_by_image()
     num_classes = max(ds.num_classes, 1)
+    settings = dict(output_stride=args.stride, size_units=args.units)
+    decoding = dict(top_k=args.top_k, size_units=args.units, stride=args.stride)
+    if not ds.images:  # no image would check the flags: an empty one-pixel image does
+        ts = encode_detection([], EncoderConfig.for_image(1, 1, num_classes, **settings))
+        decode_boxes(ts.heatmap, ts.offset, ts.size, **decoding)
     dets_by_image: dict[int, list[Detection]] = {}
     per_image = []
     collisions = 0
     for img in ds.images:
-        cfg = EncoderConfig.for_image(
-            img.width, img.height, num_classes, output_stride=args.stride, size_units=args.units
-        )
         anns = by_image[img.id]
-        ts = encode_detection(anns, cfg)
+        ts = encode_detection(anns, EncoderConfig.for_image(img.width, img.height, num_classes, **settings))
         collisions += ts.collision_count
         dets = [
             to_input_space(d, args.stride)
-            for d in decode_boxes(
-                ts.heatmap, ts.offset, ts.size, top_k=args.top_k, size_units=args.units, stride=args.stride
-            )
+            for d in decode_boxes(ts.heatmap, ts.offset, ts.size, **decoding)
             if d.score > args.min_score
         ]
         dets_by_image[img.id] = dets
@@ -309,6 +305,12 @@ def _cmd_roundtrip(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _add_head_flags(p: argparse.ArgumentParser, prefix: str) -> None:
+    """One tensor-path flag per prediction head, in _HEADS order."""
+    for head in _HEADS:
+        p.add_argument(f"--{prefix}{head}", required=head in _REQUIRED_HEADS)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cpt", description="Center-point detection toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
@@ -325,12 +327,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="output tensors -> JSON-lines detections")
-    p.add_argument("--heatmap", required=True)
-    p.add_argument("--offset", required=True)
-    p.add_argument("--size", required=True)
-    p.add_argument("--depth")
-    p.add_argument("--dims")
-    p.add_argument("--orientation")
+    _add_head_flags(p, "")
     p.add_argument("--joints-map", help="joint regression map (enables pose decoding)")
     p.add_argument("--joint-heatmap")
     p.add_argument("--joint-local-offset")
@@ -347,12 +344,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("loss", help="targets + prediction tensors -> loss report")
     p.add_argument("--manifest", required=True)
     p.add_argument("--image", type=int, default=None)
-    p.add_argument("--pred-heatmap", required=True)
-    p.add_argument("--pred-offset", required=True)
-    p.add_argument("--pred-size", required=True)
-    p.add_argument("--pred-depth")
-    p.add_argument("--pred-dims")
-    p.add_argument("--pred-orientation")
+    _add_head_flags(p, "pred-")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=4.0)
     p.add_argument("--lambda-size", type=float, default=0.1)

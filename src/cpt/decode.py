@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .grid import DenseGrid, Peak, extract_peaks
-from .targets import BIN_MIDPOINTS, SIZE_UNITS, principal_angle
+from .targets import _HEADS, BIN_MIDPOINTS, SIZE_UNITS, principal_angle
 
 REGRESSED = "regressed"
 SNAPPED = "snapped"
@@ -119,14 +119,10 @@ def decode_boxes(
         raise InputError(f"size_units must be one of {SIZE_UNITS}, got {size_units!r}")
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
-    _check_spatial("offset", offset_map, heatmap, 2)
-    _check_spatial("size", size_map, heatmap, 2)
-    if depth_map is not None:
-        _check_spatial("depth", depth_map, heatmap, 1)
-    if dims_map is not None:
-        _check_spatial("dims", dims_map, heatmap, 3)
-    if orientation_map is not None:
-        _check_spatial("orientation", orientation_map, heatmap, 8)
+    # the maps come in _HEADS order, the heatmap first
+    for head, grid in zip(_HEADS, (heatmap, offset_map, size_map, depth_map, dims_map, orientation_map)):
+        if grid is not None:
+            _check_spatial(head, grid, heatmap, _HEADS[head] or heatmap.channels)
 
     peaks = extract_peaks(heatmap, top_k, per_channel=per_class_top_k)
     ys, xs, centers, boxes = _boxes(peaks, offset_map, size_map, size_units, stride)

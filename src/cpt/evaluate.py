@@ -107,6 +107,8 @@ def evaluate_detections(
     ascending image-id order for the precision/recall sweep.
     """
     image_ids = sorted(set(dets_by_image) | set(gts_by_image))
+    if not image_ids:  # no image's matching would check the threshold
+        match_detections([], [], iou_thresh)
     per_class: dict[int, list[tuple[float, bool]]] = {}
     gt_counts: dict[int, int] = {}
     tp_total = 0

@@ -8,7 +8,7 @@ documented non-smooth neighborhoods (clamp edges, L1 kinks, softmax ties).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError
 from .grid import DenseGrid
 from .synthetic import distinct_cells, generator
-from .targets import JointCell, ObjectTarget, TargetSet, encode_orientation
+from .targets import _HEADS, _REQUIRED_HEADS, JointCell, ObjectTarget, TargetSet, encode_orientation
 
 L1_HEADS = ("offset", "size", "joint_offset")
 
@@ -49,9 +49,9 @@ class LossWeights:
     orientation: float = 1.0
 
     def __post_init__(self):
-        for name in ("size", "offset", "depth", "dims", "orientation"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InputError(f"loss weight {name} must be >= 0 and finite, got {getattr(self, name)}")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise InputError(f"loss weight {f.name} must be >= 0 and finite, got {getattr(self, f.name)}")
 
 
 @dataclass
@@ -368,11 +368,11 @@ def orientation_loss(pred: np.ndarray, yaws: np.ndarray) -> tuple[float, np.ndar
     return float(total / n), grad
 
 
-# the per-object terms read at center cells: (head, channels, ObjectTarget field, loss over the (N, channels) rows)
+# the per-object terms read at center cells: (head, ObjectTarget field, loss over the (N, channels) rows)
 _OBJECT_TERMS = (
-    ("depth", 1, "depth", depth_loss),
-    ("dims", 3, "dims3d", dim_loss),
-    ("orientation", 8, "yaw", orientation_loss),
+    ("depth", "depth", depth_loss),
+    ("dims", "dims3d", dim_loss),
+    ("orientation", "yaw", orientation_loss),
 )
 
 
@@ -385,20 +385,18 @@ def total_loss(
     """Weighted sum of the detection objective and any 3D terms with predictions present.
 
     preds maps head names to grids: "heatmap", "offset" and "size" are
-    required; "depth" (1 ch), "dims" (3 ch) and "orientation" (8 ch) are
-    added, weighted, when both the prediction and per-object targets exist.
+    required; "depth", "dims" and "orientation" are added, weighted, when
+    both the prediction and per-object targets exist.
     Every given head must be (channels, grid_h, grid_w) of the target
-    heatmap, with as many heatmap channels as classes.
+    heatmap, with its channels from targets._HEADS.
     """
-    for name in ("heatmap", "offset", "size"):
+    for name in _REQUIRED_HEADS:
         if name not in preds:
             raise InputError(f"missing required prediction head {name!r}")
-    grid = targets.heatmap.data.shape[1:]
-    channels = {"heatmap": targets.heatmap.channels, "offset": 2, "size": 2}
-    channels.update((head, c) for head, c, _, _ in _OBJECT_TERMS)
-    for head, c in channels.items():
-        if head in preds and preds[head].data.shape != (c, *grid):
-            raise InputError(f"{head} head expects shape {(c, *grid)}, grid has {preds[head].data.shape}")
+    for head, c in _HEADS.items():
+        shape = (c or targets.heatmap.channels, *targets.heatmap.data.shape[1:])
+        if head in preds and preds[head].data.shape != shape:
+            raise InputError(f"{head} head expects shape {shape}, grid has {preds[head].data.shape}")
 
     focal = focal_loss(preds["heatmap"], targets.heatmap, focal_params)
     lk, g_hm = focal
@@ -414,12 +412,12 @@ def total_loss(
         gradients={"heatmap": g_hm, "offset": g_off, "size": g_size},
     )
 
-    for head, c, attr, loss in _OBJECT_TERMS:
+    for head, attr, loss in _OBJECT_TERMS:
         objs = [o for o in targets.objects if getattr(o, attr) is not None]
         if head not in preds or not objs:
             continue
         rows, at = _read_cells(preds[head], objs)
-        value, grad = loss(rows[:, 0] if c == 1 else rows, np.array([getattr(o, attr) for o in objs]))
+        value, grad = loss(rows[:, 0] if _HEADS[head] == 1 else rows, np.array([getattr(o, attr) for o in objs]))
         setattr(report, head, value)
         report.gradients[head] = _write_cells(preds[head], at, grad.reshape(rows.shape))
         report.total += getattr(weights, head) * value
@@ -447,7 +445,8 @@ def gradcheck(
     denominator max(|fd|, |analytic|, 1e-8). Coordinates flagged in exclude
     are skipped (callers flag clamp edges, L1 kinks and softmax ties). A step
     that leaves no coordinate to check, or that rounds away at a checked
-    coordinate (x + step == x), is an InputError: no check would be made.
+    coordinate (x + step == x), is an InputError: no check would be made. So
+    is a step below 2**-26 * max(1, |x|) (about sqrt(float64 eps)) at one.
     """
     if not 0 < step < math.inf:
         raise InputError(f"gradcheck step must be a finite number > 0, got {step}")
@@ -466,6 +465,8 @@ def gradcheck(
             continue
         if flat[i] + step == flat[i] or flat[i] - step == flat[i]:
             raise InputError(f"gradcheck step {step} is lost in rounding: {flat[i]} +/- step rounds back to {flat[i]}")
+        if step < 2.0**-26 * max(1.0, abs(flat[i])):  # rounding would swamp the central difference
+            raise InputError(f"gradcheck step {step} is too small at {flat[i]}: it must be >= 2**-26 * max(1, |x|)")
         x = flat.copy()
         x[i] = flat[i] + step
         vp = fn(x.reshape(x0.shape))[0]

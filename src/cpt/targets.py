@@ -24,6 +24,10 @@ BIN_MIDPOINTS = (-math.pi / 2.0, math.pi / 2.0)
 
 SIZE_UNITS = ("pixels", "cells")
 
+# every prediction head, in `cpt loss` flag order, and its channels (0: one per class)
+_HEADS = {"heatmap": 0, "offset": 2, "size": 2, "depth": 1, "dims": 3, "orientation": 8}
+_REQUIRED_HEADS = ("heatmap", "offset", "size")
+
 
 def principal_angle(theta: float) -> float:
     """Reduce an angle to (-pi, pi]."""

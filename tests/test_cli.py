@@ -1,5 +1,6 @@
 """CLI surface: dispatch, JSON outputs, exit codes, determinism."""
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from cpt import DenseGrid, EncoderConfig, read_grid, write_grid
 from cpt.cli import run
 from cpt.dataset import dataset_to_json
 from cpt.synthetic import generator, inject_center_collisions, make_dataset
+from cpt.targets import _HEADS
 
 from oracles import reference_focal_loss, reference_splat, reference_splats
 
@@ -631,10 +633,16 @@ def _unit_grids(tmp_path):
         ("gradcheck", ["--step", "1e300"], "gradcheck step 1e+300 leaves no coordinate to check"),
         ("gradcheck", ["--step", "1e-300"], "gradcheck step 1e-300 is lost in rounding"),
         ("gradcheck", ["--step", "5e-324"], "gradcheck step 5e-324 is lost in rounding"),
+        ("gradcheck", ["--step", "1e-12"], "gradcheck step 1e-12 is too small at 0.7099366940804387"),
+        ("encode_no_images", ["--stride", "0"], "output_stride must be >= 1, got 0"),
+        ("roundtrip_no_images", ["--stride", "0"], "output_stride must be >= 1, got 0"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):
     _, path = small_dataset
+    if command.endswith("_no_images"):
+        command = command.removesuffix("_no_images")
+        path.write_text(json.dumps({"images": [], "annotations": [], "categories": [{"id": 1, "name": "a"}]}))
     if command in ("decode", "decode_pose"):
         grids = _unit_grids(tmp_path)
         argv = ["decode", "--heatmap", grids["heatmap"], "--offset", grids["offset"], "--size", grids["size"]]
@@ -662,3 +670,10 @@ def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
 
+
+
+def test_pred_channel_table_in_formats_doc_matches_heads():
+    """docs/formats.md's `--pred-*` table lists every head of targets._HEADS, in order, with its channels."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `--pred-(\w+)` \| (\w+) \|$", doc, flags=re.MULTILINE)
+    assert [(head, 0 if channels == "classes" else int(channels)) for head, channels in rows] == list(_HEADS.items())

@@ -1,14 +1,19 @@
 """Input boundaries under arbitrary input: only InputError may escape.
 
 Covers the .cpt tensor header, the dataset JSON, the detection JSON-lines
-read by `cpt nms` and `cpt eval`, and the target manifest read by `cpt
-loss`. The CLI maps any other exception to exit 2, so for the JSON-lines
-reader and the manifest the assertion is that the exit status is 0 or 1.
+read by `cpt nms` and `cpt eval`, the target manifest read by `cpt loss`,
+and every numeric flag of every subcommand. The CLI maps any other
+exception to exit 2, so for the JSON-lines reader, the manifest and the
+flags the assertion is that the exit status is 0 or 1.
 """
+import argparse
 import copy
+import io
 import json
 import struct
 import tempfile
+import warnings
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpt import DenseGrid, InputError, load_dataset, read_grid, write_grid
-from cpt.cli import run
+from cpt.cli import _build_parser, run
 from cpt.dataset import dataset_to_json
 from cpt.synthetic import generator, make_dataset
 from cpt.tensorio import MAGIC
@@ -185,3 +190,98 @@ def test_manifest(encoded, data, image):
     (work / "fuzz.json").write_text(json.dumps(data.draw(manifest_edits(doc))), encoding="utf-8")
     image_flag = [] if image is None else ["--image", str(image)]
     assert run(["loss", "--manifest", str(work / "fuzz.json"), *image_flag, *preds]) in (0, 1)
+
+
+# ---------------------------------------------------------------- numeric flags
+
+# small values only: no draw sizes an allocation, so every run stays as cheap as the tiny inputs
+FLAG_VALUES = ("0", "-1", "1e-300", "nan", "inf")
+# a tolerance below every harness's rounding error is a failed check, not a bad flag: exit 2, as
+# test_cli.py::test_gradcheck_failure_is_internal_error pins
+FAILED_CHECK = {("gradcheck", "--tolerance", "1e-300")}
+
+
+def _numeric_flags():
+    """(command, flag) for every int and float option of every subcommand, read off the parser."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [
+        (command, max(action.option_strings, key=len))
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.type in (int, float)
+    ]
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """Base argv per command and input: a one-image dataset, and one with no images where the command reads one."""
+    work = tmp_path_factory.mktemp("flags")
+    tiny = make_dataset(3, num_images=1, max_objects=3, num_classes=2, image_w=32, image_h=32)
+    (work / "tiny.json").write_text(json.dumps(dataset_to_json(tiny)), encoding="utf-8")
+    empty = {"images": [], "annotations": [], "categories": [{"id": 1, "name": "a"}]}
+    (work / "empty.json").write_text(json.dumps(empty), encoding="utf-8")
+    for name in ("tiny", "empty"):
+        assert run(["encode", str(work / f"{name}.json"), "--out", str(work / f"enc_{name}")]) == 0
+    maps, preds = [], []
+    for head in ("heatmap", "offset", "size"):
+        path = str(work / "enc_tiny" / "image_1" / f"{head}.cpt")
+        maps += [f"--{head}", path]
+        preds += [f"--pred-{head}", path]
+    dets = io.StringIO()
+    with redirect_stdout(dets):
+        assert run(["decode", *maps, "--image-id", "1", "--to-pixels"]) == 0
+    (work / "dets_tiny.jsonl").write_text(dets.getvalue(), encoding="utf-8")
+    (work / "dets_empty.jsonl").write_text("", encoding="utf-8")
+
+    def argv(command, name):
+        ds, dets = str(work / f"{name}.json"), str(work / f"dets_{name}.jsonl")
+        return {
+            "encode": ["encode", ds, "--out", str(work / f"out_{name}")],
+            "decode": ["decode", *maps] if name == "tiny" else None,
+            "loss": ["loss", "--manifest", str(work / f"enc_{name}" / "manifest.json"), *preds],
+            "gradcheck": ["gradcheck"] if name == "tiny" else None,
+            "collisions": ["collisions", ds],
+            "anchors": ["anchors", ds],
+            "nms": ["nms", dets],
+            "eval": ["eval", dets, ds],
+            "roundtrip": ["roundtrip", ds],
+        }[command]
+
+    return argv
+
+
+def _run_quietly(capsys, argv):
+    """(status, stdout, stderr, warning messages) of one in-process command line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = run(argv)
+    out, err = capsys.readouterr()
+    return status, out, err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("value", FLAG_VALUES)
+@pytest.mark.parametrize("command, flag", _numeric_flags())
+def test_numeric_flag(flag_inputs, capsys, command, flag, value):
+    """Every value exits 0 with JSON or 1 with a message and warns nothing.
+
+    A value rejected on the one-image dataset must be rejected without images
+    too, unless the message is about that image's data ("image 1 ...").
+    """
+    statuses = {}
+    for name in ("tiny", "empty"):
+        argv = flag_inputs(command, name)
+        if argv is None:
+            continue
+        status, out, err, caught = _run_quietly(capsys, [*argv, f"{flag}={value}"])
+        assert caught == [], (name, caught)
+        if (command, flag, value) in FAILED_CHECK:
+            assert status == 2 and "analytic gradients disagree" in err
+            continue
+        assert status in (0, 1) and "internal error" not in err, (name, status, err)
+        if status == 0:
+            for line in out.splitlines():
+                json.loads(line)
+        statuses[name] = status, err
+    if "empty" in statuses and statuses["tiny"][0] == 1 and not statuses["tiny"][1].startswith("error: image "):
+        assert statuses["empty"][0] == 1, statuses["tiny"][1]

@@ -6,11 +6,23 @@ seeded prediction grids, a dataset of 4-px and >= 400-px boxes for
 whose 98,304-cell heatmap spans several blocks of the focal loss. A refactor
 that changes no behaviour keeps every digest. Run
 `PYTHONPATH=src python tests/test_golden.py` to print the digests of the
-current code.
+current code, under the key of the platform it runs on.
+
+The bytes are the same for the same numpy build and SIMD class, not across
+them: numpy's float64 exp, log and log1p round some last bits differently
+with and without AVX-512, and `cpt` calls them in every encode and in the
+focal and depth losses. So EXPECTED holds one digest set per platform
+fingerprint: the numpy version, and whether numpy dispatches to X86_V4
+(AVX-512). The set without X86_V4 is computed on an AVX-512 host under
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", which
+test_golden_digests_without_avx512 re-checks there.
 """
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +36,8 @@ from cpt.dataset import dataset_to_json
 from cpt.synthetic import generator, make_dataset
 
 JOINTS = 3
-EXPECTED = {
+WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+AVX512 = {
     "encode": "77bb4c8c692a3393ec865283d0353202f388886682c6e19fbffb5433b56608e6",
     "encode_pose": "f64fed8c5068484e82f39796aef62cbae43eeece0dbfbc4c2c05fb7ce7ea0b38",
     "encode_cells": "1a73862d5c24c5a00a5944cdb748a05363eed372f44d8beaac22c8a1f94dbdcb",
@@ -48,6 +61,29 @@ EXPECTED = {
     "nms": "d34eb7ad80aff7c40d830c01aa4c2b302208ddc3477eecd3d262b89dc22159a0",
     "eval": "ff90ca795aeeda07ad577da10d80b0a7cdaf4a6117172903f6f0b368f560ec6f",
 }
+EXPECTED = {
+    ("2.4.6", True): AVX512,
+    # the cases that call exp, log or log1p: every encode, and the losses on encoded targets
+    ("2.4.6", False): {
+        **AVX512,
+        "encode": "965f540662e0b3441ac55cd7b414476ffd16fabc059132fb5f0f471ac9001cee",
+        "encode_pose": "1bc738dd75dd4966152507e71a5f32096e7f0b7fe62571ad50156a279afff84d",
+        "encode_cells": "bf166903b73edbf70279db3ae0af160585ad6963138e5d36312874f38be7f569",
+        "loss_3d": "1fc0f53f0085cd27fdf58f6a2f1e3a230c68aad6010b20c2120a0e6b84379836",
+        "loss_pose": "d646ab9cb5d4e29a362718fb4f9c9075a56aebd146c93cff1729a22b8d9c8ff0",
+        "encode_large": "24d06c641416e971b97eb404bb120bb2cdb3b915eebf9875aaa8e71b3d0e37a8",
+        "loss_large": "1bc1dbf1f2ffab39b93812be5d32c0ecca2ebc4f3392e28be5f8ffc98db21a18",
+    },
+}
+
+
+def fingerprint() -> tuple[str, bool | None]:
+    """The platform key of EXPECTED: numpy's version and whether it dispatches to X86_V4 (None off x86)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return np.__version__, __cpu_features__.get("X86_V4")
 
 
 def _write_inputs(work: Path) -> None:
@@ -163,12 +199,33 @@ def digests(tmp_path_factory):
 
 @pytest.mark.parametrize("name", [name for name, _ in _cases()])
 def test_golden_digest(digests, name):
-    assert digests[name] == EXPECTED[name]
+    key = fingerprint()
+    assert key in EXPECTED, (
+        f"no golden digests for numpy {key[0]} with X86_V4={key[1]}: on a commit whose digests hold on a known "
+        f"platform, run `PYTHONPATH=src python tests/test_golden.py` here and add what it prints to EXPECTED"
+    )
+    assert digests[name] == EXPECTED[key][name]
+
+
+@pytest.mark.skipif(not fingerprint()[1], reason="needs a host whose numpy dispatches to X86_V4, to mask it")
+def test_golden_digests_without_avx512():
+    """The digests of the SIMD class below AVX-512, checked in a subprocess with numpy's AVX-512 dispatch masked."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, **WITHOUT_AVX512}
+    probe = "import test_golden; print(test_golden.fingerprint())"
+    masked = subprocess.run([sys.executable, "-c", probe], cwd=root / "tests", env={**env, "PYTHONPATH": str(root / "src")},
+                            capture_output=True, text=True, timeout=120)
+    assert masked.stdout.strip() == repr((np.__version__, False)), masked.stderr
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_golden_digest"],
+                            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        print(f"    {fingerprint()!r}: {{")
         for name, digest in golden_digests(Path(tmp), mp).items():
-            print(f'    "{name}": "{digest}",')
+            print(f'        "{name}": "{digest}",')
+        print("    },")
