@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import analysis, losses
 from .dataset import Dataset, load_dataset
-from .decode import Detection, decode_boxes, decode_pose, to_input_space
+from .decode import Detection, _check_stride, decode_boxes, decode_pose, to_input_space
 from .errors import InputError, InternalError
 from .evaluate import evaluate_detections
 from .geometry import AnchorConfig, greedy_nms
@@ -50,9 +50,9 @@ def _floats_list(text: str) -> list[float]:
         raise InputError(f"bad numeric list {text!r}: {e}") from e
 
 
-def _check_min_score(value: float) -> None:
+def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise InputError(f"--min-score must be finite, got {value}")
+        raise InputError(f"{name} must be finite, got {value}")
 
 
 def _load_dataset_warned(path) -> Dataset:
@@ -71,7 +71,6 @@ def _cmd_encode(args) -> int:
     if not ds.images:  # no image's config would check the flags: a one-pixel image's does
         EncoderConfig.for_image(1, 1, num_classes, **settings)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     by_image = ds.annotations_by_image()
 
     manifest = {
@@ -90,6 +89,7 @@ def _cmd_encode(args) -> int:
         ts = (encode_pose if args.pose else encode_detection)(anns, cfg)
         manifest["images"].append(write_targets(ts, out_dir / f"image_{img.id}", img.id, [a.id for a in anns]))
 
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the flags are checked: a bad one leaves no directory
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     _print_json(manifest)
     return 0
@@ -98,7 +98,8 @@ def _cmd_encode(args) -> int:
 # ---------------------------------------------------------------- decode
 
 def _cmd_decode(args) -> int:
-    _check_min_score(args.min_score)
+    _check_finite("--min-score", args.min_score)
+    _check_finite("joint_thresh", args.joint_thresh)  # decode_pose's message, also where it is not called
     heatmap = read_grid(args.heatmap)
     offset = read_grid(args.offset)
     size = read_grid(args.size)
@@ -252,6 +253,7 @@ def _eval_json(report, ds: Dataset) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    _check_stride(args.stride)  # also where every detection is in pixels and none is converted
     ds = _load_dataset_warned(args.dataset)
     dets: dict[int, list[Detection]] = {}
     for _, image_id, det in read_detections(args.detections, ds.num_classes):
@@ -263,7 +265,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    _check_min_score(args.min_score)
+    _check_finite("--min-score", args.min_score)
     ds = _load_dataset_warned(args.dataset)
     by_image = ds.annotations_by_image()
     num_classes = max(ds.num_classes, 1)

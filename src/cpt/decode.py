@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .grid import DenseGrid, Peak, extract_peaks
+from .grid import DenseGrid, extract_peaks
 from .targets import _HEADS, BIN_MIDPOINTS, SIZE_UNITS, principal_angle
 
 REGRESSED = "regressed"
@@ -69,20 +69,35 @@ def decode_orientation(alpha: np.ndarray) -> float:
     return principal_angle(math.atan2(alpha[base + 2], alpha[base + 3]) + BIN_MIDPOINTS[j])
 
 
-def _check_spatial(name: str, grid: DenseGrid, heatmap: DenseGrid, channels: int) -> None:
-    if grid.width != heatmap.width or grid.height != heatmap.height:
-        raise InputError(f"{name} map is {grid.width}x{grid.height}, heatmap is {heatmap.width}x{heatmap.height}")
-    if grid.channels != channels:
-        raise InputError(f"{name} map must have {channels} channels, got {grid.channels}")
+def _check_stride(stride: int) -> None:
+    if stride < 1:
+        raise InputError(f"stride must be >= 1, got {stride}")
 
 
-def _boxes(
-    peaks: list[Peak], offset_map: DenseGrid, size_map: DenseGrid, size_units: str, stride: int
-) -> tuple[list[int], list[int], list[tuple[float, float]], list[tuple[float, float, float, float]]]:
-    """(ys, xs, centers, boxes) of the peaks, each map read with one gather.
+def _decode(
+    heatmap: DenseGrid, offset_map: DenseGrid, size_map: DenseGrid, maps: list[tuple[str, DenseGrid | None, int]],
+    top_k: int, size_units: str, stride: int, per_channel: bool = False,
+) -> tuple[list[int], list[int], list[Detection]]:
+    """(ys, xs, detections) at the heatmap's peaks, the offset and size maps each read with one gather.
 
-    The arithmetic is the scalar float64 arithmetic per peak, elementwise.
+    maps is the (name, grid, channels) table of the caller's other maps;
+    every map given is checked against the heatmap's width and height before
+    any is read. The arithmetic is the scalar float64 arithmetic per peak,
+    elementwise.
     """
+    if size_units not in SIZE_UNITS:
+        raise InputError(f"size_units must be one of {SIZE_UNITS}, got {size_units!r}")
+    _check_stride(stride)
+    box_maps = [("offset map", offset_map, _HEADS["offset"]), ("size map", size_map, _HEADS["size"])]
+    for name, grid, channels in box_maps + maps:
+        if grid is None:
+            continue
+        if grid.width != heatmap.width or grid.height != heatmap.height:
+            raise InputError(f"{name} is {grid.width}x{grid.height}, heatmap is {heatmap.width}x{heatmap.height}")
+        if grid.channels != channels:
+            raise InputError(f"{name} must have {channels} channels, got {grid.channels}")
+
+    peaks = extract_peaks(heatmap, top_k, per_channel=per_channel)
     xs, ys = [p.x for p in peaks], [p.y for p in peaks]
     dx, dy = offset_map.data[:, ys, xs].astype(np.float64, copy=False)
     w, h = size_map.data[:, ys, xs].astype(np.float64, copy=False)
@@ -93,7 +108,8 @@ def _boxes(
         w, h = np.where(0.0 > w, 0.0, w), np.where(0.0 > h, 0.0, h)
         cx, cy = xs + dx, ys + dy
         box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-    return ys, xs, list(zip(cx.tolist(), cy.tolist())), list(zip(*(v.tolist() for v in box)))
+    centers, boxes = zip(cx.tolist(), cy.tolist()), zip(*(v.tolist() for v in box))
+    return ys, xs, [Detection(p.channel, p.score, b, c) for p, b, c in zip(peaks, boxes, centers)]
 
 
 def decode_boxes(
@@ -115,18 +131,9 @@ def decode_boxes(
     3D maps populate depth, dims3d and yaw at each peak. No score filtering
     is applied; that is the caller's choice.
     """
-    if size_units not in SIZE_UNITS:
-        raise InputError(f"size_units must be one of {SIZE_UNITS}, got {size_units!r}")
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
-    # the maps come in _HEADS order, the heatmap first
-    for head, grid in zip(_HEADS, (heatmap, offset_map, size_map, depth_map, dims_map, orientation_map)):
-        if grid is not None:
-            _check_spatial(head, grid, heatmap, _HEADS[head] or heatmap.channels)
-
-    peaks = extract_peaks(heatmap, top_k, per_channel=per_class_top_k)
-    ys, xs, centers, boxes = _boxes(peaks, offset_map, size_map, size_units, stride)
-    dets = [Detection(p.channel, p.score, box, center) for p, box, center in zip(peaks, boxes, centers)]
+    attributes = {"depth": depth_map, "dims": dims_map, "orientation": orientation_map}
+    maps = [(f"{head} map", grid, _HEADS[head]) for head, grid in attributes.items()]
+    ys, xs, dets = _decode(heatmap, offset_map, size_map, maps, top_k, size_units, stride, per_class_top_k)
     if depth_map is not None:
         for det, raw in zip(dets, depth_map.data[0, ys, xs].tolist()):
             det.depth = decode_depth(raw)
@@ -141,12 +148,9 @@ def decode_boxes(
 
 def to_input_space(det: Detection, stride: int) -> Detection:
     """Scale a detection's coordinates (box, center, joints) back by the output stride."""
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
+    _check_stride(stride)
     r = float(stride)
-    joints = None
-    if det.joints is not None:
-        joints = [Joint(j.x * r, j.y * r, j.source) for j in det.joints]
+    joints = None if det.joints is None else [Joint(j.x * r, j.y * r, j.source) for j in det.joints]
     return replace(
         det,
         box=tuple(v * r for v in det.box),
@@ -154,19 +158,6 @@ def to_input_space(det: Detection, stride: int) -> Detection:
         joints=joints,
         units="pixels",
     )
-
-
-def _joint_candidates(
-    joint_heatmap: DenseGrid, local_offset: DenseGrid, top_k: int, joint_thresh: float
-) -> list[list[tuple[float, float]]]:
-    """Per joint type: its peaks above joint_thresh, score-ordered, each refined by the local offset."""
-    candidates: list[list[tuple[float, float]]] = [[] for _ in range(joint_heatmap.channels)]
-    for p in extract_peaks(joint_heatmap, top_k, per_channel=True):
-        if p.score > joint_thresh:
-            px = p.x + float(local_offset.data[0, p.y, p.x])
-            py = p.y + float(local_offset.data[1, p.y, p.x])
-            candidates[p.channel].append((px, py))
-    return candidates
 
 
 def decode_pose(
@@ -184,40 +175,41 @@ def decode_pose(
     """Person detections with joints: center-regressed, then snapped to heatmap joints.
 
     Each regressed joint snaps to the nearest candidate of its type lying
-    inside the person's box (boundary inclusive); with no such candidate the
+    inside the person's box (boundary inclusive), the earlier one in peak
+    order on a tie; with no such candidate at a finite distance the
     regressed location is kept and tagged. Candidates are each joint
     channel's heatmap peaks above the confidence threshold, refined by the
     local offset before the distance test.
     """
     if heatmap.channels != 1:
         raise InputError(f"pose decoding expects the 1-channel person heatmap, got {heatmap.channels}")
-    if stride < 1:
-        raise InputError(f"stride must be >= 1, got {stride}")
     if not math.isfinite(joint_thresh):
         raise InputError(f"joint_thresh must be finite, got {joint_thresh}")
-    k = joint_heatmap.channels
-    _check_spatial("joint regression", joints_map, heatmap, 2 * k)
-    _check_spatial("joint local offset", joint_local_offset, heatmap, 2)
+    k = joints_map.channels // 2  # an odd channel count fails the joint regression check
+    maps = [("joint regression map", joints_map, 2 * k), ("joint heatmap", joint_heatmap, k),
+            ("joint local offset map", joint_local_offset, 2)]
+    ys, xs, dets = _decode(heatmap, offset_map, size_map, maps, top_k, size_units, stride)
 
-    peaks = extract_peaks(heatmap, top_k)
-    candidates = _joint_candidates(joint_heatmap, joint_local_offset, top_k, joint_thresh)
-
-    dets = []
-    for peak, center, box in zip(peaks, *_boxes(peaks, offset_map, size_map, size_units, stride)[2:]):
-        x1, y1, x2, y2 = box
-        joints: list[Joint] = []
+    kept = [p for p in extract_peaks(joint_heatmap, top_k, per_channel=True) if p.score > joint_thresh]
+    kind, cy, cx = np.array([(p.channel, p.y, p.x) for p in kept], dtype=np.intp).reshape(-1, 3).T
+    local = joint_local_offset.data[:, cy, cx].astype(np.float64, copy=False)
+    regressed = joints_map.data[:, ys, xs].astype(np.float64, copy=False)
+    x1, y1, x2, y2 = np.array([det.box for det in dets], dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    with np.errstate(all="ignore"):  # overflow and inf - inf give inf and NaN distances, which never snap
+        px, py = cx + local[0], cy + local[1]
+        jx, jy = xs + regressed[0::2], ys + regressed[1::2]  # (joint type, peak)
+        snapped = np.zeros(jx.shape, bool)
         for j in range(k):
-            lx = peak.x + float(joints_map.data[2 * j, peak.y, peak.x])
-            ly = peak.y + float(joints_map.data[2 * j + 1, peak.y, peak.x])
-            best = None
-            best_d2 = math.inf
-            for px, py in candidates[j]:
-                if not (x1 <= px <= x2 and y1 <= py <= y2):
-                    continue
-                d2 = (px - lx) ** 2 + (py - ly) ** 2
-                if d2 < best_d2:
-                    best_d2 = d2
-                    best = Joint(px, py, SNAPPED)
-            joints.append(Joint(lx, ly, REGRESSED) if best is None else best)
-        dets.append(Detection(category=peak.channel, score=peak.score, box=box, center=center, joints=joints))
+            qx, qy = px[kind == j], py[kind == j]
+            if not qx.size:
+                continue
+            # one (peaks x candidates) matrix of squared distances; argmin takes the first of equal minima
+            d2 = (qx - jx[j, :, None]) ** 2 + (qy - jy[j, :, None]) ** 2
+            d2[~((x1 <= qx) & (qx <= x2) & (y1 <= qy) & (qy <= y2) & (d2 < np.inf))] = np.inf
+            best = np.argmin(d2, axis=1)
+            snapped[j] = d2.min(axis=1) < np.inf
+            jx[j], jy[j] = np.where(snapped[j], (qx[best], qy[best]), (jx[j], jy[j]))
+    sources = np.where(snapped, SNAPPED, REGRESSED).T.tolist()
+    for det, x, y, source in zip(dets, jx.T.tolist(), jy.T.tolist(), sources):
+        det.joints = list(map(Joint, x, y, source))
     return dets

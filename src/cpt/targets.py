@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .grid import DenseGrid, _splat, gaussian_sigma, render_gaussian
+from .grid import DenseGrid, _splat, gaussian_sigma, render_gaussian  # noqa: F401 (bench/tracing.py wraps it here)
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,6 +324,7 @@ def encode_pose(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> Targ
     ts.joint_local_offset = DenseGrid.zeros(gw, gh, 2)
     ts.joint_cells = []
 
+    splats = []
     for ann, tgt in zip(annotations, ts.objects):
         cx, cy = tgt.cell
         offs = np.zeros((k, 2), dtype=np.float64)
@@ -337,11 +338,12 @@ def encode_pose(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> Targ
                 continue
             offs[j] = (jx / r - cx, jy / r - cy)
             mask[j] = 1.0
-            ts.joint_heatmap = render_gaussian(ts.joint_heatmap, (float(jcx), float(jcy)), j, sigma)
+            splats.append((j, float(jcx), float(jcy), sigma))
             local = (jx / r - jcx, jy / r - jcy)
             ts.joint_local_offset.data[0, jcy, jcx] = local[0]
             ts.joint_local_offset.data[1, jcy, jcx] = local[1]
             ts.joint_cells.append(JointCell(joint=j, cell=(jcx, jcy), offset=local))
         tgt.joint_offsets = offs
         tgt.joint_mask = mask
+    _splat(ts.joint_heatmap.data, splats)
     return ts

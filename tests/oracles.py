@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from cpt import DenseGrid, FocalParams, MatchResult, extract_peaks
-from cpt.decode import Detection, decode_depth, decode_orientation
+from cpt.decode import REGRESSED, SNAPPED, Detection, Joint, decode_depth, decode_orientation
 
 
 def shift_case_ious(w: float, h: float, r: float) -> tuple[float, float, float]:
@@ -299,4 +299,51 @@ def reference_decode_boxes(
         if orientation_map is not None:
             det.yaw = decode_orientation(orientation_map.data[:, peak.y, peak.x])
         dets.append(det)
+    return dets
+
+
+def reference_decode_pose(
+    heatmap: DenseGrid,
+    offset_map: DenseGrid,
+    size_map: DenseGrid,
+    joints_map: DenseGrid,
+    joint_heatmap: DenseGrid,
+    joint_local_offset: DenseGrid,
+    top_k: int = 100,
+    joint_thresh: float = 0.1,
+    size_units: str = "cells",
+    stride: int = 4,
+) -> list[Detection]:
+    """decode_pose as a scalar scan: every peak, every joint type, every candidate in peak order.
+
+    A joint keeps the first candidate inside the box (boundary inclusive)
+    whose squared distance is strictly below the best so far, starting from
+    inf, so a NaN or infinite distance never snaps. The square is a product:
+    Python's `** 2` raises OverflowError where a product gives inf.
+    """
+    candidates: list[list[tuple[float, float]]] = [[] for _ in range(joint_heatmap.channels)]
+    for p in extract_peaks(joint_heatmap, top_k, per_channel=True):
+        if p.score > joint_thresh:
+            px = p.x + float(joint_local_offset.data[0, p.y, p.x])
+            py = p.y + float(joint_local_offset.data[1, p.y, p.x])
+            candidates[p.channel].append((px, py))
+    dets = []
+    for peak in extract_peaks(heatmap, top_k):
+        center, box = _box_from_peak(peak, offset_map, size_map, size_units, stride)
+        x1, y1, x2, y2 = box
+        joints: list[Joint] = []
+        for j in range(joint_heatmap.channels):
+            lx = peak.x + float(joints_map.data[2 * j, peak.y, peak.x])
+            ly = peak.y + float(joints_map.data[2 * j + 1, peak.y, peak.x])
+            best = None
+            best_d2 = math.inf
+            for px, py in candidates[j]:
+                if not (x1 <= px <= x2 and y1 <= py <= y2):
+                    continue
+                d2 = (px - lx) * (px - lx) + (py - ly) * (py - ly)
+                if d2 < best_d2:
+                    best_d2 = d2
+                    best = Joint(px, py, SNAPPED)
+            joints.append(Joint(lx, ly, REGRESSED) if best is None else best)
+        dets.append(Detection(category=peak.channel, score=peak.score, box=box, center=center, joints=joints))
     return dets

@@ -17,7 +17,7 @@ from cpt.dataset import dataset_to_json
 from cpt.synthetic import generator, inject_center_collisions, make_dataset
 from cpt.targets import _HEADS
 
-from oracles import reference_focal_loss, reference_splat, reference_splats
+from oracles import reference_focal_loss, reference_splats
 
 
 @pytest.fixture()
@@ -527,7 +527,6 @@ def test_encode_and_loss_bytes_equal_reference_splat_and_focal(tmp_path, capsys,
     (tmp_path / "new").mkdir()
     (tmp_path / "ref").mkdir()
     out, files = _encode_and_loss(capsys, tmp_path / "new", dataset)
-    monkeypatch.setattr(cpt.targets, "render_gaussian", reference_splat)
     monkeypatch.setattr(cpt.targets, "_splat", reference_splats)
     monkeypatch.setattr(cpt.losses, "focal_loss", _reference_focal_result)
     ref_out, ref_files = _encode_and_loss(capsys, tmp_path / "ref", dataset)
@@ -636,6 +635,10 @@ def _unit_grids(tmp_path):
         ("gradcheck", ["--step", "1e-12"], "gradcheck step 1e-12 is too small at 0.7099366940804387"),
         ("encode_no_images", ["--stride", "0"], "output_stride must be >= 1, got 0"),
         ("roundtrip_no_images", ["--stride", "0"], "output_stride must be >= 1, got 0"),
+        ("eval", ["--stride=-1"], "stride must be >= 1, got -1"),
+        ("eval", ["--stride", "0"], "stride must be >= 1, got 0"),
+        ("decode", ["--joint-thresh", "nan"], "joint_thresh must be finite, got nan"),
+        ("decode", ["--joint-thresh=-inf"], "joint_thresh must be finite, got -inf"),
     ],
 )
 def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags, message):
@@ -658,6 +661,10 @@ def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags
         argv = ["encode", str(path), "--out", str(tmp_path / "out")]
     elif command == "gradcheck":
         argv = ["gradcheck"]
+    elif command == "eval":  # one detection in pixels, which no stride converts
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text('{"image_id": 0, "category": 0, "score": 0.5, "box": [1, 2, 3, 4], "units": "pixels"}\n')
+        argv = ["eval", str(dets), str(path)]
     elif command == "loss":
         manifest = json.loads(run_ok(capsys, ["encode", str(path), "--out", str(tmp_path / "out")]))
         tensors = {k: str(tmp_path / "out" / v) for k, v in manifest["images"][0]["tensors"].items()}
@@ -669,6 +676,8 @@ def test_bad_numeric_flag_exit_1(small_dataset, tmp_path, capsys, command, flags
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    if command == "encode":  # with images and without, a bad flag leaves no output directory
+        assert not (tmp_path / "out").exists()
 
 
 
@@ -677,3 +686,26 @@ def test_pred_channel_table_in_formats_doc_matches_heads():
     doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `--pred-(\w+)` \| (\w+) \|$", doc, flags=re.MULTILINE)
     assert [(head, 0 if channels == "classes" else int(channels)) for head, channels in rows] == list(_HEADS.items())
+
+
+@pytest.mark.parametrize(
+    "flag, channels, side, message",
+    [
+        ("--offset", 3, 8, "offset map must have 2 channels, got 3"),
+        ("--joint-heatmap", 1, 16, "joint heatmap is 16x16, heatmap is 8x8"),
+    ],
+)
+def test_pose_decode_bad_map_exit_1(tmp_path, capsys, flag, channels, side, message):
+    """One pose input of the wrong shape among 8x8 maps with one joint type, each with a peak in its last cell."""
+    shapes = {"--heatmap": (1, 8), "--offset": (2, 8), "--size": (2, 8), "--joints-map": (2, 8),
+              "--joint-heatmap": (1, 8), "--joint-local-offset": (2, 8)}
+    shapes[flag] = (channels, side)
+    argv = ["decode"]
+    for name, (c, s) in shapes.items():
+        data = np.zeros((c, s, s))
+        data[:, -1, -1] = 1.0
+        write_grid(tmp_path / f"{name[2:]}.cpt", DenseGrid(data))
+        argv += [name, str(tmp_path / f"{name[2:]}.cpt")]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

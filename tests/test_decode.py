@@ -24,7 +24,7 @@ from cpt import (
 import cpt.decode
 from cpt.decode import REGRESSED, SNAPPED, Detection
 
-from oracles import reference_decode_boxes
+from oracles import reference_decode_boxes, reference_decode_pose
 
 
 def rng(seed=0):
@@ -352,6 +352,37 @@ class TestDecodePose:
                 DenseGrid.zeros(4, 4, 2),
             )
 
+    CHANNELS = dict(heatmap=1, offset_map=2, size_map=2, joints_map=4, joint_heatmap=2, joint_local_offset=2)
+
+    # (argument, channels, side) of one bad map among 8x8 maps with 2 joint types, and what the error names
+    @pytest.mark.parametrize(
+        "arg, channels, side, names",
+        [
+            ("heatmap", 2, 8, "1-channel person heatmap"),
+            ("heatmap", 1, 16, "heatmap is 16x16"),
+            ("offset_map", 3, 8, "offset map must have 2 channels"),
+            ("offset_map", 2, 16, "offset map is 16x16"),
+            ("size_map", 1, 8, "size map must have 2 channels"),
+            ("size_map", 2, 9, "size map is 9x9"),
+            ("joints_map", 5, 8, "joint regression map must have 4 channels"),
+            ("joints_map", 4, 16, "joint regression map is 16x16"),
+            ("joint_heatmap", 3, 8, "joint heatmap must have 2 channels"),
+            ("joint_heatmap", 2, 16, "joint heatmap is 16x16"),
+            ("joint_local_offset", 3, 8, "joint local offset map must have 2 channels"),
+            ("joint_local_offset", 2, 16, "joint local offset map is 16x16"),
+        ],
+    )
+    def test_bad_map_shape_names_the_map(self, arg, channels, side, names):
+        grids = {name: DenseGrid.zeros(8, 8, c) for name, c in self.CHANNELS.items()}
+        grids[arg] = DenseGrid.zeros(side, side, channels)
+        with pytest.raises(InputError, match=names):
+            decode_pose(**grids)
+
+    def test_bad_size_units_rejected(self):
+        grids = {name: DenseGrid.zeros(8, 8, c) for name, c in self.CHANNELS.items()}
+        with pytest.raises(InputError, match="size_units must be one of"):
+            decode_pose(**grids, size_units="bogus")
+
 
 # values a network can put at a peak cell that scalar and elementwise arithmetic could treat differently
 MAP_SPECIALS = [math.nan, 0.0, -0.0, -2.5, 1e30, -1e30, 1e300, math.inf, -math.inf]
@@ -423,3 +454,53 @@ class TestDecodeGather:
         ts = TestDecodePose().encode_scene(seed=1, num_people=2)[1]
         assert decode_boxes(ts.heatmap, ts.offset, ts.size) and calls == [1]
         assert TestDecodePose().decode(ts) and calls == [1, 1, 3]
+
+
+@st.composite
+def pose_inputs(draw):
+    """Pose maps on grids up to 12x12: tied scores, candidates at equal distances, specials in the joint maps.
+
+    Offsets and joint regressions on a half-cell lattice put many candidates
+    at equal distances from a regressed joint.
+    """
+    h, w, k = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grid(channels, values, specials=()):
+        data = r.choice(values, size=(channels, h, w))
+        if specials:
+            spots = r.random(data.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+            data[spots] = r.choice(specials, size=int(spots.sum()))
+        with np.errstate(over="ignore"):
+            return DenseGrid(data.astype(dtype))
+
+    def scores(channels):
+        return grid(channels, [0.0, 0.05, 0.25, 0.5, 1.0]) if draw(st.booleans()) else grid(channels, r.random(64))
+
+    lattice = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    maps = dict(
+        heatmap=scores(1),
+        offset_map=grid(2, [0.0, 0.5, -0.5], MAP_SPECIALS),
+        size_map=grid(2, [0.0, 1.0, 4.0, 8.0, 24.0], MAP_SPECIALS),
+        joints_map=grid(2 * k, lattice, MAP_SPECIALS),
+        joint_heatmap=scores(k),
+        joint_local_offset=grid(2, lattice, MAP_SPECIALS),
+    )
+    options = dict(
+        top_k=draw(st.integers(1, h * w + 3)),
+        joint_thresh=draw(st.sampled_from([-1.0, 0.0, 0.1, 0.3])),
+        size_units=draw(st.sampled_from(["cells", "pixels"])),
+        stride=draw(st.integers(1, 4)),
+    )
+    return maps, options
+
+
+class TestPoseSnapping:
+    @given(inputs=pose_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_reference(self, inputs):
+        maps, options = inputs
+        got = decode_pose(**maps, **options)
+        want = reference_decode_pose(**maps, **options)
+        assert [_fields(d) for d in got] == [_fields(d) for d in want]

@@ -2,9 +2,9 @@
 
 Covers the .cpt tensor header, the dataset JSON, the detection JSON-lines
 read by `cpt nms` and `cpt eval`, the target manifest read by `cpt loss`,
-and every numeric flag of every subcommand. The CLI maps any other
-exception to exit 2, so for the JSON-lines reader, the manifest and the
-flags the assertion is that the exit status is 0 or 1.
+and every numeric and number-list flag of every subcommand. The CLI maps
+any other exception to exit 2, so for the JSON-lines reader, the manifest
+and the flags the assertion is that the exit status is 0 or 1.
 """
 import argparse
 import copy
@@ -201,16 +201,29 @@ FLAG_VALUES = ("0", "-1", "1e-300", "nan", "inf")
 FAILED_CHECK = {("gradcheck", "--tolerance", "1e-300")}
 
 
-def _numeric_flags():
-    """(command, flag) for every int and float option of every subcommand, read off the parser."""
+# the comma-separated number lists: empty, empty items, one bad number, a bad number after a good one
+LIST_VALUES = ("", ",", *FLAG_VALUES, "0.5,nan")
+
+
+def _flags(selects):
+    """(command, flag) for every option of every subcommand that selects(action), read off the parser."""
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     return [
         (command, max(action.option_strings, key=len))
         for command, sub in commands.items()
         for action in sub._actions
-        if action.type in (int, float)
+        if selects(action)
     ]
+
+
+def _numeric(action):
+    return action.type in (int, float)
+
+
+def _number_list(action):
+    """A string option whose default is a comma-separated list."""
+    return action.type is None and isinstance(action.default, str) and "," in action.default
 
 
 @pytest.fixture(scope="module")
@@ -261,13 +274,24 @@ def _run_quietly(capsys, argv):
 
 
 @pytest.mark.parametrize("value", FLAG_VALUES)
-@pytest.mark.parametrize("command, flag", _numeric_flags())
+@pytest.mark.parametrize("command, flag", _flags(_numeric))
 def test_numeric_flag(flag_inputs, capsys, command, flag, value):
     """Every value exits 0 with JSON or 1 with a message and warns nothing.
 
     A value rejected on the one-image dataset must be rejected without images
     too, unless the message is about that image's data ("image 1 ...").
     """
+    _check_flag_value(flag_inputs, capsys, command, flag, value)
+
+
+@pytest.mark.parametrize("value", LIST_VALUES)
+@pytest.mark.parametrize("command, flag", _flags(_number_list))
+def test_list_flag(flag_inputs, capsys, command, flag, value):
+    """The number-list flags under the rules of test_numeric_flag."""
+    _check_flag_value(flag_inputs, capsys, command, flag, value)
+
+
+def _check_flag_value(flag_inputs, capsys, command, flag, value):
     statuses = {}
     for name in ("tiny", "empty"):
         argv = flag_inputs(command, name)

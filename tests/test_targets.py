@@ -272,13 +272,21 @@ def test_heatmaps_equal_copy_per_splat_reference(monkeypatch, seed):
     anns, cfg = splat_scene(seed)
     det, pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
     assert pose.clamped_centers >= 1 and pose.collisions
-    monkeypatch.setattr(targets, "render_gaussian", reference_splat)
     monkeypatch.setattr(targets, "_splat", reference_splats)
     ref_det, ref_pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
     assert det.heatmap.data.tobytes() == ref_det.heatmap.data.tobytes()
     assert pose.heatmap.data.tobytes() == ref_pose.heatmap.data.tobytes()
     assert pose.joint_heatmap.data.tobytes() == ref_pose.joint_heatmap.data.tobytes()
     assert np.count_nonzero(pose.joint_heatmap.data) > 0
+
+
+def test_encode_pose_splats_joints_in_one_pass(monkeypatch):
+    """One _splat call for the object heatmap and one for every visible in-grid joint; none per joint."""
+    anns, cfg = splat_scene(0)
+    calls = []
+    monkeypatch.setattr(targets, "_splat", lambda data, splats: calls.append(len(splats)) or _splat(data, splats))
+    ts = encode_pose(anns, cfg)
+    assert calls == [len(anns), len(ts.joint_cells)] and len(ts.joint_cells) > 0
 
 
 @st.composite
