@@ -20,7 +20,6 @@ from .decode import (
     decode_boxes,
     decode_depth,
     decode_orientation,
-    decode_pose,
     to_input_space,
 )
 from .errors import CptError, InputError, InternalError
@@ -94,7 +93,6 @@ __all__ = [
     "decode_boxes",
     "decode_depth",
     "decode_orientation",
-    "decode_pose",
     "depth_loss",
     "dim_loss",
     "encode_depth",

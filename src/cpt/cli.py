@@ -15,11 +15,11 @@ from pathlib import Path
 
 from . import analysis, losses
 from .dataset import Dataset, load_dataset
-from .decode import Detection, _check_stride, decode_boxes, decode_pose, to_input_space
+from .decode import Detection, _check_stride, decode_boxes, to_input_space
 from .errors import InputError, InternalError
 from .evaluate import evaluate_detections
 from .geometry import AnchorConfig, greedy_nms
-from .records import read_detections, read_targets, to_json, write_targets
+from .records import _config_to_json, read_detections, read_targets, to_json, write_targets
 from .targets import _HEADS, _REQUIRED_HEADS, EncoderConfig, encode_detection, encode_pose
 from .tensorio import read_grid, write_grid
 
@@ -68,23 +68,14 @@ def _cmd_encode(args) -> int:
     ds = _load_dataset_warned(args.dataset)
     num_classes = args.classes if args.classes is not None else max(ds.num_classes, 1)
     settings = dict(output_stride=args.stride, num_joints=args.joints, min_overlap=args.min_overlap, size_units=args.units)
-    if not ds.images:  # no image's config would check the flags: a one-pixel image's does
-        EncoderConfig.for_image(1, 1, num_classes, **settings)
+    # every image's config before any image is written; with no image, a one-pixel one checks the flags
+    sizes = [(img.width, img.height) for img in ds.images] or [(1, 1)]
+    configs = [EncoderConfig.for_image(w, h, num_classes, **settings) for w, h in sizes]
     out_dir = Path(args.out)
     by_image = ds.annotations_by_image()
 
-    manifest = {
-        "config": {
-            "stride": args.stride,
-            "classes": num_classes,
-            "joints": args.joints,
-            "units": args.units,
-            "min_overlap": args.min_overlap,
-        },
-        "images": [],
-    }
-    for img in ds.images:
-        cfg = EncoderConfig.for_image(img.width, img.height, num_classes, **settings)
+    manifest = {"config": _config_to_json(configs[0]), "images": []}
+    for img, cfg in zip(ds.images, configs):
         anns = by_image[img.id]
         ts = (encode_pose if args.pose else encode_detection)(anns, cfg)
         manifest["images"].append(write_targets(ts, out_dir / f"image_{img.id}", img.id, [a.id for a in anns]))
@@ -99,39 +90,21 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     _check_finite("--min-score", args.min_score)
-    _check_finite("joint_thresh", args.joint_thresh)  # decode_pose's message, also where it is not called
-    heatmap = read_grid(args.heatmap)
-    offset = read_grid(args.offset)
-    size = read_grid(args.size)
-    if args.joints_map is not None:
-        for flag, name in ((args.joint_heatmap, "--joint-heatmap"), (args.joint_local_offset, "--joint-local-offset")):
-            if flag is None:
-                raise InputError(f"pose decoding requires {name}")
-        dets = decode_pose(
-            heatmap,
-            offset,
-            size,
-            read_grid(args.joints_map),
-            read_grid(args.joint_heatmap),
-            read_grid(args.joint_local_offset),
-            top_k=args.top_k,
-            joint_thresh=args.joint_thresh,
-            size_units=args.units,
-            stride=args.stride,
-        )
-    else:
-        dets = decode_boxes(
-            heatmap,
-            offset,
-            size,
-            top_k=args.top_k,
-            size_units=args.units,
-            stride=args.stride,
-            per_class_top_k=args.per_class_top_k,
-            depth_map=read_grid(args.depth) if args.depth else None,
-            dims_map=read_grid(args.dims) if args.dims else None,
-            orientation_map=read_grid(args.orientation) if args.orientation else None,
-        )
+    # decode_boxes' optional maps and the files their flags name
+    paths = {"depth_map": args.depth, "dims_map": args.dims, "orientation_map": args.orientation,
+             "joints_map": args.joints_map, "joint_heatmap": args.joint_heatmap,
+             "joint_local_offset": args.joint_local_offset}
+    dets = decode_boxes(
+        read_grid(args.heatmap),
+        read_grid(args.offset),
+        read_grid(args.size),
+        top_k=args.top_k,
+        size_units=args.units,
+        stride=args.stride,
+        per_class_top_k=args.per_class_top_k,
+        joint_thresh=args.joint_thresh,
+        **{name: read_grid(path) for name, path in paths.items() if path},
+    )
     for det in dets:
         if det.score <= args.min_score:
             continue

@@ -21,6 +21,14 @@ from .tensorio import read_grid, write_grid
 
 # TargetSet grids a manifest lists, in write order; the joint_* grids are optional.
 TENSORS = ("heatmap", "size", "offset", "center_mask", "joint_heatmap", "joint_local_offset")
+# A manifest's config object: (manifest key, EncoderConfig field, JSON type), in the order the reader checks them.
+_CONFIG = (
+    ("classes", "num_classes", int),
+    ("stride", "output_stride", int),
+    ("joints", "num_joints", int),
+    ("min_overlap", "min_overlap", float),
+    ("units", "size_units", str),
+)
 
 
 def _plain(value):
@@ -97,6 +105,11 @@ def _collision_from_json(raw, where: str) -> CollisionRecord:
     )
 
 
+def _config_to_json(cfg: EncoderConfig) -> dict:
+    """A manifest's config object: the encoder settings every image shares."""
+    return {key: getattr(cfg, field) for key, field, _ in _CONFIG}
+
+
 def write_targets(ts: TargetSet, image_dir: Path, image_id: int, annotation_ids: list[int]) -> dict:
     """Write an image's grids into image_dir and return its manifest entry."""
     image_dir.mkdir(parents=True, exist_ok=True)
@@ -142,11 +155,7 @@ def read_targets(manifest_path, image_id: int | None) -> TargetSet:
     fields = dict(
         input_w=require_field(entry, "input_w", int, where),
         input_h=require_field(entry, "input_h", int, where),
-        num_classes=require_field(cfg, "classes", int, at),
-        output_stride=require_field(cfg, "stride", int, at),
-        num_joints=require_field(cfg, "joints", int, at),
-        min_overlap=require_field(cfg, "min_overlap", float, at),
-        size_units=require_field(cfg, "units", str, at),
+        **{field: require_field(cfg, key, kind, at) for key, field, kind in _CONFIG},
     )
     try:
         config = EncoderConfig(**fields)

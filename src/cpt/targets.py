@@ -245,6 +245,11 @@ def _center_cell(ann: ObjectAnnotation, r: int, gw: int, gh: int) -> tuple[int, 
     return cx, cy, px / r - cx, py / r - cy, clamped
 
 
+def _named(i: int, ann: ObjectAnnotation) -> str:
+    """An annotation as errors name it: by image and annotation id when it has them, else by list index."""
+    return f"annotation {i}" if ann.id is None else f"image {ann.image_id} annotation {ann.id}"
+
+
 def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> TargetSet:
     """Build detection targets: splat center Gaussians, write size/offset at center cells.
 
@@ -265,10 +270,10 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
     splats = []
     for i, ann in enumerate(annotations):
         if not 0 <= ann.category < cfg.num_classes:
-            raise InputError(f"annotation {i}: category {ann.category} out of range [0, {cfg.num_classes})")
+            raise InputError(f"{_named(i, ann)}: category {ann.category} out of range [0, {cfg.num_classes})")
         x1, y1, x2, y2 = ann.bbox
         if x1 > cfg.input_w or y1 > cfg.input_h or x2 < 0 or y2 < 0:
-            raise InputError(f"annotation {i}: bbox {ann.bbox} lies outside the image; clamp at ingestion")
+            raise InputError(f"{_named(i, ann)}: bbox {ann.bbox} lies outside the image; clamp at ingestion")
         cx, cy, ox, oy, clamped = _center_cell(ann, r, gw, gh)
         if clamped:
             ts.clamped_centers += 1
@@ -313,10 +318,10 @@ def encode_pose(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> Targ
     """
     for i, ann in enumerate(annotations):
         if ann.keypoints is None:
-            raise InputError(f"annotation {i}: keypoints required for pose encoding")
+            raise InputError(f"{_named(i, ann)}: keypoints required for pose encoding")
         if len(ann.keypoints) != cfg.num_joints:
             raise InputError(
-                f"annotation {i}: {len(ann.keypoints)} joints, config expects {cfg.num_joints}"
+                f"{_named(i, ann)}: {len(ann.keypoints)} joints, config expects {cfg.num_joints}"
             )
     ts = encode_detection(annotations, cfg)
     gw, gh, r, k = cfg.grid_w, cfg.grid_h, cfg.output_stride, cfg.num_joints

@@ -314,7 +314,7 @@ def reference_decode_pose(
     size_units: str = "cells",
     stride: int = 4,
 ) -> list[Detection]:
-    """decode_pose as a scalar scan: every peak, every joint type, every candidate in peak order.
+    """decode_boxes' joint snapping as a scalar scan: every peak, every joint type, every candidate in peak order.
 
     A joint keeps the first candidate inside the box (boundary inclusive)
     whose squared distance is strictly below the best so far, starting from

@@ -1,5 +1,6 @@
 """CLI surface: dispatch, JSON outputs, exit codes, determinism."""
 import json
+import math
 import re
 import subprocess
 import sys
@@ -688,24 +689,74 @@ def test_pred_channel_table_in_formats_doc_matches_heads():
     assert [(head, 0 if channels == "classes" else int(channels)) for head, channels in rows] == list(_HEADS.items())
 
 
-@pytest.mark.parametrize(
-    "flag, channels, side, message",
-    [
-        ("--offset", 3, 8, "offset map must have 2 channels, got 3"),
-        ("--joint-heatmap", 1, 16, "joint heatmap is 16x16, heatmap is 8x8"),
-    ],
-)
-def test_pose_decode_bad_map_exit_1(tmp_path, capsys, flag, channels, side, message):
-    """One pose input of the wrong shape among 8x8 maps with one joint type, each with a peak in its last cell."""
-    shapes = {"--heatmap": (1, 8), "--offset": (2, 8), "--size": (2, 8), "--joints-map": (2, 8),
-              "--joint-heatmap": (1, 8), "--joint-local-offset": (2, 8)}
-    shapes[flag] = (channels, side)
+# decode flags and (channels, side) of 8x8 pose maps with one joint type
+POSE_SHAPES = {"--heatmap": (1, 8), "--offset": (2, 8), "--size": (2, 8), "--joints-map": (2, 8),
+               "--joint-heatmap": (1, 8), "--joint-local-offset": (2, 8)}
+
+
+def _decode_argv(tmp_path, shapes):
+    """decode arguments for maps of the given (channels, side), each with a peak in its last cell."""
     argv = ["decode"]
     for name, (c, s) in shapes.items():
         data = np.zeros((c, s, s))
         data[:, -1, -1] = 1.0
         write_grid(tmp_path / f"{name[2:]}.cpt", DenseGrid(data))
         argv += [name, str(tmp_path / f"{name[2:]}.cpt")]
-    assert run(argv) == 1
+    return argv
+
+
+@pytest.mark.parametrize(
+    "flag, channels, side, message",
+    [
+        ("--offset", 3, 8, "offset map must have 2 channels, got 3"),
+        ("--joint-heatmap", 1, 16, "joint heatmap is 16x16, heatmap is 8x8"),
+        ("--depth", 3, 8, "depth map must have 1 channels, got 3"),
+    ],
+)
+def test_pose_decode_bad_map_exit_1(tmp_path, capsys, flag, channels, side, message):
+    """One pose input of the wrong shape among 8x8 maps with one joint type, each with a peak in its last cell."""
+    assert run(_decode_argv(tmp_path, {**POSE_SHAPES, flag: (channels, side)})) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "left_out, name",
+    [("--joints-map", "joint regression map"), ("--joint-heatmap", "joint heatmap"),
+     ("--joint-local-offset", "joint local offset map")],
+)
+def test_pose_decode_missing_joint_map_exit_1(tmp_path, capsys, left_out, name):
+    shapes = {flag: shape for flag, shape in POSE_SHAPES.items() if flag != left_out}
+    assert run(_decode_argv(tmp_path, shapes)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: pose decoding requires the {name} with the other joint maps\n"
+
+
+def test_pose_decode_with_3d_maps_and_per_class_top_k(tmp_path, capsys):
+    """Joint maps, 3D maps and --per-class-top-k act together in one decode."""
+    shapes = {**POSE_SHAPES, "--depth": (1, 8), "--dims": (3, 8), "--orientation": (8, 8)}
+    out = run_ok(capsys, _decode_argv(tmp_path, shapes) + ["--per-class-top-k", "--top-k", "2", "--min-score", "0.5"])
+    (line,) = [json.loads(text) for text in out.splitlines()]
+    assert line["center"] == [8.0, 8.0] and line["depth"] == pytest.approx(math.exp(-1.0))
+    assert line["dims3d"] == [1.0, 1.0, 1.0] and "yaw" in line
+    assert line["joints"] == [{"x": 8.0, "y": 8.0, "source": "snapped"}]
+
+
+def test_encode_names_the_image_and_annotation_of_a_bad_category(tmp_path, capsys):
+    """A category-1 annotation only in image 2, under --classes 1, stops the run before manifest.json is written."""
+    doc = {
+        "images": [{"id": 1, "width": 16, "height": 16}, {"id": 2, "width": 16, "height": 16}],
+        "categories": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [2, 2, 8, 8]},
+            {"id": 7, "image_id": 2, "category_id": 2, "bbox": [2, 2, 8, 8]},
+        ],
+    }
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["encode", str(path), "--out", str(tmp_path / "out"), "--classes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: image 2 annotation 7: category 1 out of range [0, 1)\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()

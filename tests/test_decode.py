@@ -1,6 +1,7 @@
 """Decoding: boxes from peaks, 3D attribute codecs, pose snapping."""
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from cpt import (
     decode_boxes,
     decode_depth,
     decode_orientation,
-    decode_pose,
     encode_detection,
     encode_orientation,
     encode_pose,
@@ -233,13 +233,13 @@ class TestDecodePose:
         return anns, ts, cfg
 
     def decode(self, ts, **kw):
-        return decode_pose(
+        return decode_boxes(
             ts.heatmap,
             ts.offset,
             ts.size,
-            self.joints_grid(ts),
-            ts.joint_heatmap,
-            ts.joint_local_offset,
+            joints_map=self.joints_grid(ts),
+            joint_heatmap=ts.joint_heatmap,
+            joint_local_offset=ts.joint_local_offset,
             size_units="pixels",
             stride=4,
             **kw,
@@ -270,8 +270,9 @@ class TestDecodePose:
         blank = DenseGrid.zeros(ts.joint_heatmap.width, ts.joint_heatmap.height, ts.joint_heatmap.channels)
         dets = [
             d
-            for d in decode_pose(
-                ts.heatmap, ts.offset, ts.size, self.joints_grid(ts), blank, ts.joint_local_offset,
+            for d in decode_boxes(
+                ts.heatmap, ts.offset, ts.size, joints_map=self.joints_grid(ts), joint_heatmap=blank,
+                joint_local_offset=ts.joint_local_offset,
                 size_units="pixels", stride=4,
             )
             if d.score > 0
@@ -343,13 +344,13 @@ class TestDecodePose:
 
     def test_requires_person_channel(self):
         with pytest.raises(InputError):
-            decode_pose(
+            decode_boxes(
                 DenseGrid.zeros(4, 4, 2),
                 DenseGrid.zeros(4, 4, 2),
                 DenseGrid.zeros(4, 4, 2),
-                DenseGrid.zeros(4, 4, 2),
-                DenseGrid.zeros(4, 4, 1),
-                DenseGrid.zeros(4, 4, 2),
+                joints_map=DenseGrid.zeros(4, 4, 2),
+                joint_heatmap=DenseGrid.zeros(4, 4, 1),
+                joint_local_offset=DenseGrid.zeros(4, 4, 2),
             )
 
     CHANNELS = dict(heatmap=1, offset_map=2, size_map=2, joints_map=4, joint_heatmap=2, joint_local_offset=2)
@@ -376,12 +377,22 @@ class TestDecodePose:
         grids = {name: DenseGrid.zeros(8, 8, c) for name, c in self.CHANNELS.items()}
         grids[arg] = DenseGrid.zeros(side, side, channels)
         with pytest.raises(InputError, match=names):
-            decode_pose(**grids)
+            decode_boxes(**grids)
+
+    @pytest.mark.parametrize(
+        "left_out, name",
+        [("joints_map", "joint regression map"), ("joint_heatmap", "joint heatmap"),
+         ("joint_local_offset", "joint local offset map")],
+    )
+    def test_missing_joint_map_named(self, left_out, name):
+        grids = {arg: DenseGrid.zeros(8, 8, c) for arg, c in self.CHANNELS.items() if arg != left_out}
+        with pytest.raises(InputError, match=f"pose decoding requires the {name} with the other joint maps"):
+            decode_boxes(**grids)
 
     def test_bad_size_units_rejected(self):
         grids = {name: DenseGrid.zeros(8, 8, c) for name, c in self.CHANNELS.items()}
         with pytest.raises(InputError, match="size_units must be one of"):
-            decode_pose(**grids, size_units="bogus")
+            decode_boxes(**grids, size_units="bogus")
 
 
 # values a network can put at a peak cell that scalar and elementwise arithmetic could treat differently
@@ -443,7 +454,7 @@ class TestDecodeGather:
         assert [_fields(d) for d in got] == [_fields(d) for d in want]
 
     def test_decoders_find_peaks_through_the_module_name(self, monkeypatch):
-        """The benchmark times peak extraction by wrapping cpt.decode.extract_peaks; both decoders must call it."""
+        """The benchmark times peak extraction by wrapping cpt.decode.extract_peaks; decode_boxes must call it there."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -501,6 +512,34 @@ class TestPoseSnapping:
     @settings(max_examples=300, deadline=None)
     def test_equals_scalar_reference(self, inputs):
         maps, options = inputs
-        got = decode_pose(**maps, **options)
+        got = decode_boxes(**maps, **options)
         want = reference_decode_pose(**maps, **options)
         assert [_fields(d) for d in got] == [_fields(d) for d in want]
+
+    @given(inputs=pose_inputs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_3d_and_joint_maps_in_one_call(self, inputs, seed):
+        """Each record of one call with 3D and joint maps is the 3D-only record plus the pose-only record's joints."""
+        maps, options = inputs
+        _, h, w = maps["heatmap"].data.shape
+        r = rng(seed)
+
+        def grid(channels, specials):
+            data = r.normal(0.0, 3.0, (channels, h, w))
+            spots = r.random(data.shape) < 0.3
+            data[spots] = r.choice(specials, size=int(spots.sum()))
+            with np.errstate(over="ignore"):
+                return DenseGrid(data.astype(maps["heatmap"].data.dtype))
+
+        three_d = dict(depth_map=grid(1, DEPTH_SPECIALS), dims_map=grid(3, MAP_SPECIALS),
+                       orientation_map=grid(8, MAP_SPECIALS))
+        box_maps = {name: maps[name] for name in ("heatmap", "offset_map", "size_map")}
+        box_options = {name: v for name, v in options.items() if name != "joint_thresh"}
+        with np.errstate(invalid="ignore"):  # decode_orientation subtracts infinite logits
+            both = decode_boxes(**maps, **three_d, **options)
+            only_3d = decode_boxes(**box_maps, **three_d, **box_options)
+        only_pose = decode_boxes(**maps, **options)
+        assert len(both) == len(only_3d) == len(only_pose)
+        want = [replace(d, joints=p.joints) for d, p in zip(only_3d, only_pose)]
+        assert all(d.joints is not None and d.depth is not None for d in both)
+        assert [_fields(d) for d in both] == [_fields(d) for d in want]
