@@ -9,13 +9,17 @@ The forced-anchor fast path factors each anchor shape's overlaps over the two
 axes and evaluates a box only on the anchors that can hold its best IoU: a
 closed-form window per axis around the plateau where the overlap peaks, in the
 shapes whose IoU bound reaches an attained IoU. For K shapes, B boxes and W×H
-positions that costs O(K·B) for the windows, O(K·(W + H)) for the anchor edges
-and the anchors in the windows kept: about 1,330 per image, 0.1% of all
-box-anchor pairs, on the synthetic 640×480 benchmark scenes.
+positions that costs O(K·B) for the windows and the anchors in the windows
+kept: about 1,330 per image, 0.1% of all box-anchor pairs, on the synthetic
+640×480 benchmark scenes. The O(K·(W + H)) anchor-edge table is paid once per
+distinct (resized size, AnchorConfig): a memo keeps the last _ANCHOR_TABLES =
+128 tables, 43,232 bytes (≈42 KB) each for the default 15 shapes on a 1066×800
+resize.
 Its oracle is the dense IoU matrix of every box against all anchors.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,6 +42,10 @@ DELTA = 1e-9
 
 # box-anchor pairs per chunk of the dense oracle: 8 MB per float64 temporary, unless one box has more anchors
 _ORACLE_PAIRS = 1 << 20
+
+# (resized size, AnchorConfig) anchor tables _anchor_table keeps, least recently used first out. One holds
+# 3·K·(W + H)/S float64 edges and widths: 43,232 bytes (≈42 KB) for the default 15 shapes on a 1066×800 resize.
+_ANCHOR_TABLES = 128
 
 
 def area_bucket(area: float) -> str:
@@ -172,6 +180,34 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
     )
 
 
+@functools.lru_cache(maxsize=_ANCHOR_TABLES)
+def _anchor_table(image_w: float, image_h: float, cfg: AnchorConfig) -> tuple[np.ndarray, ...]:
+    """The arrays _max_anchor_ious_fast derives from the resized size and cfg alone, read-only.
+
+    a1, a2 and widths: one (shape, position) table of anchor edges for both
+    axes, the x positions, then the y positions. Per (axis, shape): the half
+    side, the cap c_max + S on a plateau's low end, the window slack, the
+    last index n, the offset row of the shape's positions in the flattened
+    table and the largest width w_max. Per shape: a_min, the smallest anchor
+    area.
+    """
+    shapes, s = anchor_shapes(cfg), cfg.stride
+    xs, ys = anchor_positions(image_w, s), anchor_positions(image_h, s)
+    centers, half = np.concatenate((xs, ys)), np.repeat(shapes / 2.0, (len(xs), len(ys)), axis=1)
+    a1, a2 = centers - half, centers + half
+    widths = a2 - a1
+    half = (shapes / 2.0).T[:, :, None]
+    c_max = np.array((xs[-1], ys[-1]))[:, None, None]
+    slack, n = DELTA * (c_max + half), np.array((len(xs) - 1, len(ys) - 1))[:, None, None]
+    row = np.arange(len(shapes))[:, None] * a1.shape[1] + np.array((0, len(xs)))[:, None, None]
+    w_max = np.maximum.reduceat(widths, (0, len(xs)), axis=1).T[:, :, None]
+    a_min = np.minimum.reduceat(widths, (0, len(xs)), axis=1).prod(axis=1)[:, None]
+    table = (a1, a2, widths, half, c_max + s, slack, n, row, w_max, a_min)
+    for array in table:
+        array.setflags(write=False)  # shared by every later call with this size and cfg
+    return table
+
+
 def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg: AnchorConfig) -> np.ndarray:
     """Max IoU over all anchors, evaluated only on the anchors that can hold it.
 
@@ -203,28 +239,21 @@ def _max_anchor_ious_fast(boxes: np.ndarray, image_w: float, image_h: float, cfg
     min(max ah, bh)). Shapes with imax = 0 or upper < lower are skipped (a NaN
     bound never is); the rest get iou_matrix's arithmetic, as in the oracle.
     """
-    shapes, s = anchor_shapes(cfg), cfg.stride
-    xs, ys = anchor_positions(image_w, s), anchor_positions(image_h, s)
-    # one (shape, position) table of anchor edges for both axes: the x positions, then the y positions
-    half = np.repeat(shapes / 2.0, (len(xs), len(ys)), axis=1)
-    a1, a2 = np.concatenate((xs, ys)) - half, np.concatenate((xs, ys)) + half
-    widths = a2 - a1
+    a1, a2, widths, half, lo_cap, slack, n, row, w_max, a_min = _anchor_table(image_w, image_h, cfg)
+    s = cfg.stride
     # (axis, shape, box) arrays from here on; windows index the flattened table
     b1, b2 = np.ascontiguousarray(boxes.T).reshape(2, 2, -1)  # rows (x1, y1) and (x2, y2)
-    half = (shapes / 2.0).T[:, :, None]
-    c_max = np.array((xs[-1], ys[-1]))[:, None, None]
-    lo = np.minimum(np.minimum(b1[:, None] + half, b2[:, None] - half), c_max + s)
-    hi = np.maximum(np.maximum(b1[:, None] + half, b2[:, None] - half), -s / 2.0)
-    slack, n = DELTA * (c_max + half), np.array((len(xs) - 1, len(ys) - 1))[:, None, None]
-    row = np.arange(len(shapes))[:, None] * a1.shape[1] + np.array((0, len(xs)))[:, None, None]
+    rise, fall = b1[:, None] + half, b2[:, None] - half
+    lo = np.minimum(np.minimum(rise, fall), lo_cap)
+    hi = np.maximum(np.maximum(rise, fall), -s / 2.0)
     first = (np.minimum(np.maximum(np.floor((lo - slack - s / 2.0) / s), 0.0), n) + row).astype(np.intp)
     last = (np.minimum(np.maximum(np.ceil((hi + slack - s / 2.0) / s), 0.0), n) + row).astype(np.intp)
-    box_area = (b2 - b1).prod(axis=0)
+    sides = b2 - b1
+    box_area = sides.prod(axis=0)
     mid = (first + last) // 2
     o = np.maximum(np.minimum(a2.take(mid), b2[:, None]) - np.maximum(a1.take(mid), b1[:, None]), 0.0)
     lower = _iou(o[0], o[1], box_area, widths.take(mid).prod(axis=0)).max(axis=0)
-    imax = np.minimum(np.maximum.reduceat(widths, (0, len(xs)), axis=1).T[:, :, None], (b2 - b1)[:, None]).prod(axis=0)
-    a_min = np.minimum.reduceat(widths, (0, len(xs)), axis=1).prod(axis=1)[:, None]
+    imax = np.minimum(w_max, sides[:, None]).prod(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = imax / (box_area + a_min - imax)
     keep = (imax > 0.0) & ~(upper < lower)

@@ -71,6 +71,9 @@ class AnchorConfig:
     resize_shorter: float = 800.0
 
     def __post_init__(self):
+        # tuples whatever sequence was given: a list would make the config unhashable, an ndarray ambiguous in `not`
+        for name in ("sizes", "ratios"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.sizes or not self.ratios:
             raise InputError("anchor sizes and ratios must be non-empty")
         for name in ("sizes", "ratios"):

@@ -11,7 +11,7 @@ from cpt import AnchorConfig, InputError, ObjectAnnotation, count_center_collisi
 from cpt import analysis
 from cpt.analysis import _max_anchor_ious_fast, _max_anchor_ious_oracle, area_bucket
 from cpt.dataset import CategoryInfo, Dataset, ImageInfo
-from cpt.geometry import anchor_grid, anchor_positions, anchor_shapes, iou_matrix
+from cpt.geometry import anchor_grid, anchor_positions, anchor_shapes, iou_matrix, resize_shorter
 
 
 def rng(seed=0):
@@ -267,6 +267,87 @@ class TestForcedAssignments:
         boxes, image_w, image_h, cfg = case.draw(anchor_cases())
         fast = _max_anchor_ious_fast(boxes, image_w, image_h, cfg)
         assert fast.tobytes() == _max_anchor_ious_oracle(boxes, image_w, image_h, cfg).tobytes()
+
+    def test_sequence_forms_give_one_config(self):
+        ds = random_dataset(5, num_images=4, extent=640)
+        forms = [
+            AnchorConfig(sizes=[32.0, 64.0], ratios=[0.5, 1.0]),
+            AnchorConfig(sizes=(32.0, 64.0), ratios=(0.5, 1.0)),
+            AnchorConfig(sizes=np.array([32.0, 64.0]), ratios=np.array([0.5, 1.0])),
+        ]
+        assert all(isinstance(cfg.sizes, tuple) and isinstance(cfg.ratios, tuple) for cfg in forms)
+        assert all(cfg == forms[0] and hash(cfg) == hash(forms[0]) for cfg in forms)
+        reports = []
+        for cfg in forms:
+            analysis._anchor_table.cache_clear()  # each form builds its own table
+            reports.append(count_forced_assignments(ds, cfg))
+        assert reports[0].total_objects > 0
+        assert all(report == reports[0] for report in reports)
+
+
+# three original sizes and their resized sizes under each config of MIXED_CONFIGS: 640x480 and 64x48 share one
+MIXED_SIZES = ((640, 480), (480, 640), (64, 48))
+# the default grid, and the stride/2 edge of test_empty_anchor_grid_rejected: the shorter side resizes to 8 = 16 / 2,
+# so each image holds one anchor center across; its anchors are on the scale of the resized boxes
+MIXED_CONFIGS = [AnchorConfig(), AnchorConfig(sizes=(2.0, 4.0, 8.0), resize_shorter=8.0)]
+
+
+def mixed_size_dataset(seed, num_images=9, max_boxes=12):
+    """Images cycling through MIXED_SIZES, each with boxes of up to half its sides, some past its edges."""
+    r = rng(seed)
+    ds = Dataset(categories=[CategoryInfo(id=1, name="c0", index=0)])
+    for image_id in range(1, num_images + 1):
+        w, h = MIXED_SIZES[(image_id - 1) % len(MIXED_SIZES)]
+        ds.images.append(ImageInfo(id=image_id, width=w, height=h))
+        for _ in range(int(r.integers(1, max_boxes + 1))):
+            x1, y1 = r.uniform(-0.05, 0.95) * w, r.uniform(-0.05, 0.95) * h
+            bw, bh = r.uniform(0.0, 0.5) * w, r.uniform(0.0, 0.5) * h
+            ds.annotations.append(
+                ObjectAnnotation(bbox=(x1, y1, x1 + bw, y1 + bh), category=0, id=len(ds.annotations) + 1, image_id=image_id)
+            )
+    return ds
+
+
+class TestAnchorTables:
+    """The forced-anchor fast path reads one memoized anchor table per (resized size, config)."""
+
+    @pytest.mark.parametrize("cfg", MIXED_CONFIGS)
+    def test_fast_equals_oracle_whole_and_sliced(self, cfg):
+        ds = mixed_size_dataset(11)
+        analysis._anchor_table.cache_clear()
+        assert count_forced_assignments(ds, cfg) == count_forced_assignments(ds, cfg, oracle=True)
+        # one-image slices in an order that revisits sizes: a miss, hits and misses interleaved
+        analysis._anchor_table.cache_clear()
+        by_image = ds.annotations_by_image()
+        for k in (2, 5, 1, 8, 3, 4, 6, 0, 7):
+            img = ds.images[k]
+            part = Dataset(images=[img], annotations=by_image[img.id], categories=ds.categories)
+            assert count_forced_assignments(part, cfg) == count_forced_assignments(part, cfg, oracle=True)
+            w, h, scale = resize_shorter(img.width, img.height, cfg.resize_shorter)
+            boxes = np.array([a.bbox for a in by_image[img.id]]) * scale
+            fast = _max_anchor_ious_fast(boxes, w, h, cfg)
+            assert fast.tobytes() == _max_anchor_ious_oracle(boxes, w, h, cfg).tobytes()
+        info = analysis._anchor_table.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * 9 - 2)
+
+    def test_tables_are_read_only(self):
+        table = analysis._anchor_table(1066.0, 800.0, AnchorConfig())
+        assert all(isinstance(array, np.ndarray) and not array.flags.writeable for array in table)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0][0, 0] = 0.0
+
+    @pytest.mark.parametrize("cfg", MIXED_CONFIGS)
+    def test_one_table_per_resized_size(self, cfg):
+        ds = mixed_size_dataset(12)
+        resized = {resize_shorter(m.width, m.height, cfg.resize_shorter)[:2] for m in ds.images}
+        assert len(resized) == 2 < len(MIXED_SIZES)
+        analysis._anchor_table.cache_clear()
+        with mock.patch.object(analysis, "anchor_positions", wraps=anchor_positions) as positions:
+            count_forced_assignments(ds, cfg)
+            assert analysis._anchor_table.cache_info().misses == len(resized)
+            assert positions.call_count == 2 * len(resized)  # one call per axis of each table
+            count_forced_assignments(ds, cfg)
+            assert positions.call_count == 2 * len(resized)
 
 
 def _ulps(value, k):
