@@ -42,11 +42,8 @@ from .losses import (
     total_loss,
 )
 from .targets import (
-    CollisionRecord,
     EncoderConfig,
-    JointCell,
     ObjectAnnotation,
-    ObjectTarget,
     TargetSet,
     encode_depth,
     encode_detection,
@@ -63,7 +60,6 @@ __all__ = [
     "AnchorReport",
     "CategoryInfo",
     "CollisionPair",
-    "CollisionRecord",
     "CollisionReport",
     "CptError",
     "Dataset",
@@ -77,12 +73,10 @@ __all__ = [
     "InputError",
     "InternalError",
     "Joint",
-    "JointCell",
     "LossReport",
     "LossWeights",
     "MatchResult",
     "ObjectAnnotation",
-    "ObjectTarget",
     "Peak",
     "TargetSet",
     "anchor_grid",

@@ -71,9 +71,18 @@ class AnchorConfig:
     resize_shorter: float = 800.0
 
     def __post_init__(self):
-        # tuples whatever sequence was given: a list would make the config unhashable, an ndarray ambiguous in `not`
+        # tuples of plain floats whatever sequence was given: a list would make the config unhashable, an
+        # ndarray ambiguous in `not`, and numpy scalars print as np.float64(...)
         for name in ("sizes", "ratios"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            values = []
+            for v in getattr(self, name):
+                try:
+                    if isinstance(v, (str, bytes)):
+                        raise TypeError(f"must be a number, not {type(v).__name__}")
+                    values.append(float(v))
+                except (TypeError, ValueError, OverflowError) as e:
+                    raise InputError(f"anchor {name} entry {v!r:.40}: {e}") from e
+            object.__setattr__(self, name, tuple(values))
         if not self.sizes or not self.ratios:
             raise InputError("anchor sizes and ratios must be non-empty")
         for name in ("sizes", "ratios"):

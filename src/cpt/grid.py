@@ -13,7 +13,6 @@ the grid size.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -98,79 +97,87 @@ def render_gaussian(grid: DenseGrid, center: tuple[float, float], channel: int, 
     return grid
 
 
-def _splat(data: np.ndarray, splats: list[tuple[int, float, float, float]]) -> None:
-    """render_gaussian for each (channel, px, py, sigma) in turn, on a (C, H, W) array.
+def _splat(data: np.ndarray, splats) -> None:
+    """render_gaussian for each (channel, px, py, sigma) row of an (n, 4) array-like, on a (C, H, W) array.
 
-    The kernels of all windows are evaluated in one array pass over their
-    cells, with the arithmetic of one splat per cell; the windows are then
-    combined into data by max one at a time, in order.
+    The window geometry and the kernels of all windows are evaluated in array
+    passes, with the arithmetic of one splat per cell; the kernels are then
+    combined into data by max (np.maximum.at), which is exact and so
+    independent of order.
     """
     _, h, w = data.shape
-    windows, corners, scales = [], [], []
-    for channel, px, py, sigma in splats:
-        if not (sigma > 0 and math.isfinite(sigma)):
+    splats = np.asarray(splats, dtype=np.float64).reshape(-1, 4)
+    bad = ~(np.isfinite(splats).all(axis=1) & (splats[:, 3] > 0))
+    if bad.any():
+        _, px, py, sigma = splats[np.argmax(bad)].tolist()
+        if not 0 < sigma < np.inf:
             raise InputError(f"sigma must be positive and finite, got {sigma}")
-        px, py = float(px), float(py)
-        radius = int(math.ceil(3.0 * sigma))
-        x0 = max(int(math.ceil(px - radius)), 0)
-        x1 = min(int(math.floor(px + radius)), w - 1)
-        y0 = max(int(math.ceil(py - radius)), 0)
-        y1 = min(int(math.floor(py + radius)), h - 1)
-        if x0 <= x1 and y0 <= y1:
-            windows.append((channel, slice(y0, y1 + 1), slice(x0, x1 + 1), y1 + 1 - y0, x1 + 1 - x0))
-            corners.append((x0, y0, px, py))
-            scales.append(2.0 * sigma * sigma)
-    if not windows:
+        raise InputError(f"splat center must be finite, got ({px}, {py})")
+    # each window's corners, clipped to the grid; an integral float is exact here
+    channel, px, py, sigma = splats.T
+    radius = np.ceil(3.0 * sigma)
+    x0, x1 = np.maximum(np.ceil(px - radius), 0.0), np.minimum(np.floor(px + radius), w - 1)
+    y0, y1 = np.maximum(np.ceil(py - radius), 0.0), np.minimum(np.floor(py + radius), h - 1)
+    keep = (x0 <= x1) & (y0 <= y1)  # a window wholly off the grid writes nothing
+    if not keep.any():
         return
-    x0, y0, px, py = np.array(corners).T
-    ny, nx = np.array([win[3:] for win in windows]).T
+    channel, px, py, sigma, x0, x1, y0, y1 = (a[keep] for a in (channel, px, py, sigma, x0, x1, y0, y1))
+    nx, ny = (x1 + 1 - x0).astype(np.intp), (y1 + 1 - y0).astype(np.intp)
     # every window's cells in row-major order: each cell's window, and its row and column in it
     ends = np.cumsum(ny * nx)
-    win = np.repeat(np.arange(len(windows)), ny * nx)
+    win = np.repeat(np.arange(len(ends)), ny * nx)
     row, col = np.divmod(np.arange(ends[-1]) - (ends - ny * nx)[win], nx[win])
-    dx, dy = (x0[win] + col) - px[win], (y0[win] + row) - py[win]
-    kernel = np.exp(-(dx**2 + dy**2) / np.array(scales)[win])
-    for (channel, rows, cols, a, b), k in zip(windows, np.split(kernel, ends[:-1])):
-        region = data[channel, rows, cols]
-        np.maximum(region, k.reshape(a, b), out=region)
+    x, y = x0[win] + col, y0[win] + row
+    kernel = np.exp(-((x - px[win]) ** 2 + (y - py[win]) ** 2) / (2.0 * sigma * sigma)[win])
+    np.maximum.at(data, (channel.astype(np.intp)[win], y.astype(np.intp), x.astype(np.intp)), kernel)
 
 
-def gaussian_radius(box_w: float, box_h: float, min_overlap: float = 0.7) -> float:
+def gaussian_radius(box_w, box_h, min_overlap: float = 0.7):
     """Largest corner displacement r keeping IoU >= min_overlap with the original box.
 
     Minimum over the three shift cases (box translated; both corners pulled
     inward; both pushed outward), each solved in closed form. Dimensions are
-    in output cells.
+    in output cells. Elementwise over arrays of widths and heights; a float
+    for scalars. Each value is the one Python floats give: a product past
+    the float range is inf and inf - inf is NaN, without a warning, and the
+    minimum and maximum pass over a NaN as Python's min and max do.
     """
-    if not (box_w > 0 and box_h > 0):
+    w, h = np.asarray(box_w, dtype=np.float64), np.asarray(box_h, dtype=np.float64)
+    if not np.all((w > 0) & (h > 0)):
         raise InputError(f"box dimensions must be positive, got ({box_w}, {box_h})")
     if not 0 < min_overlap < 1:
         raise InputError(f"min_overlap must be in (0, 1), got {min_overlap}")
-    w, h, t = float(box_w), float(box_h), float(min_overlap)
+    t = float(min_overlap)
 
-    # translation by (r, r): (w-r)(h-r) >= 2t*wh/(1+t)
-    b1 = w + h
-    c1 = w * h * (1 - t) / (1 + t)
-    r1 = (b1 - math.sqrt(max(b1 * b1 - 4 * c1, 0.0))) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        # translation by (r, r): (w-r)(h-r) >= 2t*wh/(1+t)
+        b1 = w + h
+        c1 = w * h * (1 - t) / (1 + t)
+        r1 = (b1 - np.sqrt(np.maximum(b1 * b1 - 4 * c1, 0.0))) / 2
 
-    # both corners inward: (w-2r)(h-2r) >= t*wh
-    a2 = 4.0
-    b2 = 2 * (w + h)
-    c2 = (1 - t) * w * h
-    r2 = (b2 - math.sqrt(max(b2 * b2 - 4 * a2 * c2, 0.0))) / (2 * a2)
+        # both corners inward: (w-2r)(h-2r) >= t*wh
+        a2 = 4.0
+        b2 = 2 * (w + h)
+        c2 = (1 - t) * w * h
+        r2 = (b2 - np.sqrt(np.maximum(b2 * b2 - 4 * a2 * c2, 0.0))) / (2 * a2)
 
-    # both corners outward: wh >= t*(w+2r)(h+2r)
-    a3 = 4.0 * t
-    b3 = -2 * t * (w + h)
-    c3 = (t - 1) * w * h
-    r3 = (b3 + math.sqrt(max(b3 * b3 - 4 * a3 * c3, 0.0))) / (2 * a3)
+        # both corners outward: wh >= t*(w+2r)(h+2r)
+        a3 = 4.0 * t
+        b3 = -2 * t * (w + h)
+        c3 = (t - 1) * w * h
+        r3 = (b3 + np.sqrt(np.maximum(b3 * b3 - 4 * a3 * c3, 0.0))) / (2 * a3)
 
-    return max(0.0, min(r1, r2, r3))
+    # max(0.0, min(r1, r2, r3)) in Python's order of comparisons
+    r = np.where(r2 < r1, r2, r1)
+    r = np.where(r3 < r, r3, r)
+    r = np.where(r > 0.0, r, 0.0)
+    return float(r) if r.ndim == 0 else r
 
 
-def gaussian_sigma(box_w: float, box_h: float, min_overlap: float = 0.7) -> float:
+def gaussian_sigma(box_w, box_h, min_overlap: float = 0.7):
     """Size-adaptive standard deviation: displacement radius / 3, floored at MIN_RADIUS / 3."""
-    return max(gaussian_radius(box_w, box_h, min_overlap), MIN_RADIUS) / 3.0
+    sigma = np.maximum(gaussian_radius(box_w, box_h, min_overlap), MIN_RADIUS) / 3.0
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def _row_peaks(rows: np.ndarray, height: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

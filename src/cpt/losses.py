@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
 from .grid import DenseGrid
 from .synthetic import distinct_cells, generator
-from .targets import _HEADS, _REQUIRED_HEADS, JointCell, ObjectTarget, TargetSet, encode_orientation
+from .targets import _HEADS, _REQUIRED_HEADS, TargetSet, encode_orientation
 
 L1_HEADS = ("offset", "size", "joint_offset")
 
@@ -227,40 +227,41 @@ def focal_loss(pred: DenseGrid, target: DenseGrid, params: FocalParams = FocalPa
     return _FocalResult(float(value), DenseGrid(grad.reshape(pred.data.shape)), pos.size)
 
 
-def _read_cells(pred: DenseGrid, records) -> tuple[np.ndarray, tuple]:
-    """Every channel of pred at each record's cell as (N, channels) float64 rows, and the index of those cells.
+def _read_cells(pred: DenseGrid, cells: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Every channel of pred at each (x, y) row of cells as (N, channels) float64 rows, and the index of those cells.
 
     A cell outside the grid is an InputError. The rows are C-contiguous, so a
-    loss's sum over them runs in the order it did over rows stacked one record
+    loss's sum over them runs in the order it did over rows stacked one cell
     at a time.
     """
-    xy = np.array([r.cell for r in records], dtype=np.intp).reshape(-1, 2)
+    xy = np.asarray(cells, dtype=np.intp).reshape(-1, 2)
     outside = (xy < 0).any(axis=1) | (xy[:, 0] >= pred.width) | (xy[:, 1] >= pred.height)
     if outside.any():
         k = int(np.argmax(outside))
-        raise InputError(f"record {k}: cell {tuple(xy[k].tolist())} outside the {pred.width}x{pred.height} grid")
+        raise InputError(f"row {k}: cell {tuple(xy[k].tolist())} outside the {pred.width}x{pred.height} grid")
     at = (slice(None), xy[:, 1], xy[:, 0])
     return np.ascontiguousarray(pred.data[at].T, dtype=np.float64), at
 
 
 def _write_cells(pred: DenseGrid, at: tuple, rows: np.ndarray) -> DenseGrid:
-    """A zero float64 grid shaped like pred with each row added at its cell, in record order."""
+    """A zero float64 grid shaped like pred with each row added at its cell, in row order."""
     grad = np.zeros_like(pred.data, dtype=np.float64)
     np.add.at(grad, at, rows.T)
     return DenseGrid(grad)
 
 
-def _weighted_l1(pred: DenseGrid, records, targets, weights) -> tuple[float, DenseGrid]:
-    """Sum of w * (|dx| + |dy|) over 2-channel residuals at the records' cells, averaged over the records.
+def _weighted_l1(pred: DenseGrid, cells, targets, weights=None) -> tuple[float, DenseGrid]:
+    """Sum of w * (|dx| + |dy|) over 2-channel residuals at the cells, averaged over the cells.
 
-    Each record's channels split into consecutive (x, y) pairs; targets and
-    weights hold one (x, y) target and one weight per pair, in that order.
-    Gradients from records sharing a cell accumulate; sign(0) is 0.
+    Each cell's channels split into consecutive (x, y) pairs; targets holds
+    one (x, y) target per pair and weights one weight per pair (1 when
+    None), in that order. Gradients from rows sharing a cell accumulate;
+    sign(0) is 0.
     """
-    rows, at = _read_cells(pred, records)
-    diff = rows.reshape(-1, 2) - np.array(targets, dtype=np.float64).reshape(-1, 2)
-    w = np.array(weights, dtype=np.float64).reshape(-1)
-    n = max(len(records), 1)
+    rows, at = _read_cells(pred, cells)
+    diff = rows.reshape(-1, 2) - np.asarray(targets, dtype=np.float64).reshape(-1, 2)
+    w = np.ones(len(diff)) if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1)
+    n = max(len(rows), 1)
     absd = np.abs(diff)
     # summed in pair order from 0.0, as a loop would: np.sum adds pairwise past 8 terms
     total = np.cumsum(np.append(0.0, w * (absd[:, 0] + absd[:, 1])))[-1]
@@ -268,35 +269,34 @@ def _weighted_l1(pred: DenseGrid, records, targets, weights) -> tuple[float, Den
     return float(total / n), _write_cells(pred, at, grad.reshape(rows.shape))
 
 
-def masked_l1(pred: DenseGrid, objects: Sequence[ObjectTarget], head: str) -> tuple[float, DenseGrid]:
+def masked_l1(pred: DenseGrid, objects: dict, head: str) -> tuple[float, DenseGrid]:
     """L1 loss applied only at the objects' center cells, averaged over objects.
 
-    head selects the supervision: "offset" and "size" read 2-channel targets;
-    "joint_offset" reads (2 * num_joints) channels and multiplies each joint's
-    residual by its visibility mask.
+    objects is an object table (TargetSet.objects): its "cell" column and
+    the columns head reads. head selects the supervision: "offset" and
+    "size" read 2-channel targets; "joint_offset" reads (2 * num_joints)
+    channels from "joint_offsets" and multiplies each joint's residual by
+    its "joint_mask" entry.
     """
     if head not in L1_HEADS:
         raise InputError(f"unknown masked_l1 head {head!r}; expected one of {L1_HEADS}")
     if head != "joint_offset":
         if pred.channels != 2:
             raise InputError(f"{head} head expects 2 channels, grid has {pred.channels}")
-        return _weighted_l1(pred, objects, [getattr(obj, head) for obj in objects], np.ones(len(objects)))
-    for obj in objects:
-        if obj.joint_offsets is None:
-            raise InputError(f"object {obj.index}: no pose targets for joint_offset head")
-        if pred.channels != 2 * obj.joint_offsets.shape[0]:
-            raise InputError(
-                f"joint_offset head expects {2 * obj.joint_offsets.shape[0]} channels, "
-                f"grid has {pred.channels}"
-            )
-    return _weighted_l1(pred, objects, [obj.joint_offsets for obj in objects], [obj.joint_mask for obj in objects])
+        return _weighted_l1(pred, objects["cell"], objects[head])
+    offsets = objects["joint_offsets"]
+    if offsets is None:
+        raise InputError("no pose targets for joint_offset head")
+    if pred.channels != 2 * offsets.shape[1]:
+        raise InputError(f"joint_offset head expects {2 * offsets.shape[1]} channels, grid has {pred.channels}")
+    return _weighted_l1(pred, objects["cell"], offsets, objects["joint_mask"])
 
 
-def joint_local_offset_loss(pred: DenseGrid, joint_cells: Sequence[JointCell]) -> tuple[float, DenseGrid]:
-    """Sub-cell offset L1 at visible joints' cells, averaged over joint records."""
+def joint_local_offset_loss(pred: DenseGrid, joint_cells: dict) -> tuple[float, DenseGrid]:
+    """Sub-cell offset L1 at visible joints' cells, averaged over the rows of a joint table (TargetSet.joint_cells)."""
     if pred.channels != 2:
         raise InputError(f"joint local offset head expects 2 channels, grid has {pred.channels}")
-    return _weighted_l1(pred, joint_cells, [jc.offset for jc in joint_cells], np.ones(len(joint_cells)))
+    return _weighted_l1(pred, joint_cells["cell"], joint_cells["offset"])
 
 
 def depth_loss(pred: np.ndarray, depths: np.ndarray) -> tuple[float, np.ndarray]:
@@ -368,7 +368,7 @@ def orientation_loss(pred: np.ndarray, yaws: np.ndarray) -> tuple[float, np.ndar
     return float(total / n), grad
 
 
-# the per-object terms read at center cells: (head, ObjectTarget field, loss over the (N, channels) rows)
+# the per-object terms read at center cells: (head, object table column, loss over the (N, channels) rows)
 _OBJECT_TERMS = (
     ("depth", "depth", depth_loss),
     ("dims", "dims3d", dim_loss),
@@ -400,24 +400,26 @@ def total_loss(
 
     focal = focal_loss(preds["heatmap"], targets.heatmap, focal_params)
     lk, g_hm = focal
-    loff, g_off = masked_l1(preds["offset"], targets.objects, "offset")
-    lsize, g_size = masked_l1(preds["size"], targets.objects, "size")
+    objects = targets.objects
+    loff, g_off = masked_l1(preds["offset"], objects, "offset")
+    lsize, g_size = masked_l1(preds["size"], objects, "size")
     report = LossReport(
         keypoint=lk,
         offset=loff,
         size=lsize,
         total=lk + weights.size * lsize + weights.offset * loff,
-        n_objects=len(targets.objects),
+        n_objects=len(objects["cell"]),
         n_positive_cells=focal.positives,
         gradients={"heatmap": g_hm, "offset": g_off, "size": g_size},
     )
 
-    for head, attr, loss in _OBJECT_TERMS:
-        objs = [o for o in targets.objects if getattr(o, attr) is not None]
-        if head not in preds or not objs:
+    for head, column, loss in _OBJECT_TERMS:
+        values = objects[column]
+        if head not in preds or values is None:
             continue
-        rows, at = _read_cells(preds[head], objs)
-        value, grad = loss(rows[:, 0] if _HEADS[head] == 1 else rows, np.array([getattr(o, attr) for o in objs]))
+        have = ~np.isnan(values).any(axis=tuple(range(1, values.ndim)))  # NaN rows: objects without the field
+        rows, at = _read_cells(preds[head], objects["cell"][have])
+        value, grad = loss(rows[:, 0] if _HEADS[head] == 1 else rows, values[have])
         setattr(report, head, value)
         report.gradients[head] = _write_cells(preds[head], at, grad.reshape(rows.shape))
         report.total += getattr(weights, head) * value
@@ -481,10 +483,6 @@ def gradcheck(
     return GradcheckReport(max_rel_error=max_rel, checked=checked, excluded=int(skip.sum()))
 
 
-def _record(cell, offset=(0.0, 0.0), size=(0.0, 0.0)) -> ObjectTarget:
-    return ObjectTarget(index=0, category=0, cell=cell, offset=offset, size=size)
-
-
 def gradcheck_focal(seed: int, step: float = 1e-6, shape: tuple[int, int, int] = (2, 8, 8)) -> GradcheckReport:
     """Focal loss FD check on a random heatmap pair away from the clamp edges."""
     rng = generator(seed)
@@ -508,14 +506,11 @@ def _gradcheck_l1_head(seed: int, step: float, head: str, low: float, high: floa
     rng = generator(seed)
     shape = (2, 8, 8)
     x0 = rng.uniform(low - 1.0, high + 1.0, size=shape)
-    objects = []
+    cells = np.array(distinct_cells(rng, 5, 8, 8))
+    objects = {"cell": cells, head: rng.uniform(low, high, size=(5, 2))}
+    cx, cy = cells.T
     exclude = np.zeros(shape, dtype=bool)
-    for cell in distinct_cells(rng, 5, 8, 8):
-        tgt = rng.uniform(low, high, size=2)
-        kw = {head: tuple(tgt)}
-        objects.append(_record(cell, **{"offset": (0.0, 0.0), "size": (0.0, 0.0), **kw}))
-        cx, cy = cell
-        exclude[:, cy, cx] |= np.abs(x0[:, cy, cx] - tgt) < 10 * step
+    exclude[:, cy, cx] = np.abs(x0[:, cy, cx] - objects[head].T) < 10 * step
 
     def fn(x: np.ndarray):
         value, grad = masked_l1(DenseGrid(x), objects, head)

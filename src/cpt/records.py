@@ -1,8 +1,9 @@
 """JSON records the CLI writes and reads back: one writer, and one validating reader per record.
 
-to_json is the only writer. Each reader checks shape and types and raises
-InputError naming the bad location, and returns every field its writer
-wrote, so read(write(x)) == x field for field. See docs/formats.md.
+to_json writes a dataclass and tables_to_json a TargetSet's tables, one
+record per row. Each reader checks shape and types and raises InputError
+naming the bad location, and returns every field its writer wrote, so
+read(write(x)) == x field for field. See docs/formats.md.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from .dataset import finite_numbers, require_field
 from .decode import REGRESSED, SNAPPED, Detection, Joint
 from .errors import InputError
-from .targets import SIZE_UNITS, CollisionRecord, EncoderConfig, JointCell, ObjectTarget, TargetSet
+from .targets import SIZE_UNITS, EncoderConfig, TargetSet
 from .tensorio import read_grid, write_grid
 
 # TargetSet grids a manifest lists, in write order; the joint_* grids are optional.
@@ -29,6 +30,20 @@ _CONFIG = (
     ("min_overlap", "min_overlap", float),
     ("units", "size_units", str),
 )
+# The TargetSet tables as manifest records: (table, its fields in the order the reader checks them). A field
+# is (name, entries per row, JSON type); "joints" is the config's joint count, and () marks a scalar.
+_TABLES = {
+    "objects": (
+        ("category", (), int), ("cell", (2,), int), ("offset", (2,), float), ("size", (2,), float),
+        ("depth", (), float), ("dims3d", (3,), float), ("yaw", (), float), ("orientation", (8,), float),
+        ("joint_offsets", ("joints", 2), float), ("joint_mask", ("joints",), float),
+    ),
+    "collisions": (("cell", (2,), int), ("category", (), int), ("first", (), int), ("second", (), int)),
+    "joint_cells": (("joint", (), int), ("cell", (2,), int), ("offset", (2,), float)),
+}
+# object fields a record may leave out (NaN in the table), and fields that every object record has or none
+_NAN_ROWS = ("depth", "dims3d", "yaw", "orientation")
+_POSE = ("joint_offsets", "joint_mask")
 
 
 def _plain(value):
@@ -64,50 +79,105 @@ def _records(raw, key: str, read, where: str) -> list:
 
 
 def _read_3d(raw, record, where: str) -> None:
-    """Set the optional 3D fields that objects and detections share."""
+    """Set a detection's optional 3D fields."""
     for key in ("depth", "dims3d", "yaw"):
         if key in raw:
             setattr(record, key, _field(raw, key, 3, where) if key == "dims3d" else require_field(raw, key, float, where))
 
 
-def object_from_json(raw, where: str) -> ObjectTarget:
-    obj = ObjectTarget(
-        index=require_field(raw, "index", int, where),
-        category=require_field(raw, "category", int, where),
-        cell=_field(raw, "cell", 2, where, int),
-        offset=_field(raw, "offset", 2, where),
-        size=_field(raw, "size", 2, where),
-    )
-    _read_3d(raw, obj, where)
-    if "orientation" in raw:
-        obj.orientation = np.array(_field(raw, "orientation", 8, where))
-    if "joint_offsets" in raw or "joint_mask" in raw:
-        rows = require_field(raw, "joint_offsets", list, where)
-        obj.joint_offsets = np.array([_numbers(r, 2, where, "joint_offsets row") for r in rows]).reshape(-1, 2)
-        obj.joint_mask = np.array(_field(raw, "joint_mask", len(rows), where))
-    return obj
-
-
-def joint_cell_from_json(raw, where: str) -> JointCell:
-    return JointCell(
-        joint=require_field(raw, "joint", int, where),
-        cell=_field(raw, "cell", 2, where, int),
-        offset=_field(raw, "offset", 2, where),
-    )
-
-
-def _collision_from_json(raw, where: str) -> CollisionRecord:
-    return CollisionRecord(
-        cell=_field(raw, "cell", 2, where, int),
-        category=require_field(raw, "category", int, where),
-        first=require_field(raw, "first", int, where),
-        second=require_field(raw, "second", int, where),
-    )
-
-
 def _config_to_json(cfg: EncoderConfig) -> dict:
     """A manifest's config object: the encoder settings every image shares."""
     return {key: getattr(cfg, field) for key, field, _ in _CONFIG}
+
+
+def _rows(table: dict) -> list[dict]:
+    """A column table as JSON records, one per row: a key per column that is not None, left out where the row is NaN."""
+    rows = [{} for _ in table["cell"]]
+    for name, column in table.items():
+        if column is not None:
+            nan = np.isnan(column).any(axis=tuple(range(1, column.ndim))).tolist()
+            for row, value, missing in zip(rows, column.tolist(), nan):
+                if not missing:
+                    row[name] = value
+    return rows
+
+
+def tables_to_json(ts: TargetSet, annotation_ids: list[int]) -> dict:
+    """The manifest records of a TargetSet's tables: objects (with annotation ids), collisions and joint cells."""
+    first, second = ts.collisions.T
+    pairs = dict(cell=ts.objects["cell"][first], category=ts.objects["category"][first], first=first, second=second)
+    objects = [{"annotation_id": annotation_ids[k], "index": k, **row} for k, row in enumerate(_rows(ts.objects))]
+    out = {"objects": objects, "collisions": _rows(pairs), "clamped_centers": ts.clamped_centers}
+    if ts.joint_cells is not None:
+        out["joint_cells"] = _rows(ts.joint_cells)
+    return out
+
+
+def _entry(raw, name: str, shape: tuple, kind, where: str):
+    """One field of a record: a scalar when shape is (), else a list of that shape, every entry checked."""
+    if not shape:
+        return require_field(raw, name, kind, where)
+    if len(shape) == 1:
+        return list(_field(raw, name, shape[0], where, kind))
+    rows = require_field(raw, name, list, where)
+    if len(rows) != shape[0]:
+        raise InputError(f"{where}: {name} must be a list of {shape[0]} rows")
+    return [list(_numbers(r, shape[1], where, f"{name} row", kind)) for r in rows]
+
+
+def _table(raw, key: str, where: str, bounds: dict, joints: int = 0, pose: bool = False) -> dict:
+    """The column table of the records raw[key], each checked; a field no record has is None.
+
+    Any record may leave out a _NAN_ROWS field (NaN in its row); every
+    record has the _POSE fields when pose is set or one record has one, and
+    every other field. Each integer entry lies in [0, b) for its bound b in
+    bounds[field].
+    """
+    items = require_field(raw, key, list, where)
+    has = {name for item in items if isinstance(item, dict) for name in item}
+    pose = pose or not has.isdisjoint(_POSE)
+    fields = [
+        (name, tuple(joints if n == "joints" else n for n in shape), kind)
+        for name, shape, kind in _TABLES[key]
+        if name in has or name not in _NAN_ROWS + _POSE or (pose and name in _POSE)
+    ]
+    columns = {name: [] for name, _, _ in fields}
+    for k, item in enumerate(items):
+        at = f"{where} {key}[{k}]"
+        for name, shape, kind in fields:
+            if name in _NAN_ROWS and isinstance(item, dict) and name not in item:
+                value = np.full(shape, np.nan)
+            else:
+                value = _entry(item, name, shape, kind, at)
+            bound = bounds.get(name)
+            if bound and not all(0 <= v < b for v, b in zip(np.ravel(value).tolist(), bound)):
+                raise InputError(f"{at}: {name} {value} out of range {' x '.join(f'[0, {b})' for b in bound)}")
+            columns[name].append(value)
+    table = dict.fromkeys(name for name, _, _ in _TABLES[key])
+    for name, shape, kind in fields:
+        table[name] = np.array(columns[name], dtype=np.intp if kind is int else np.float64).reshape(len(items), *shape)
+    return table
+
+
+def tables_from_json(entry, config: EncoderConfig, where: str) -> dict:
+    """The tables of a manifest image entry as TargetSet fields, every record checked against config."""
+    for k, item in enumerate(require_field(entry, "objects", list, where)):
+        if require_field(item, "index", int, f"{where} objects[{k}]") != k:
+            raise InputError(f"{where} objects[{k}]: index {item['index']} is not the record's position {k}")
+    pose = "joint_cells" in entry  # then every object record has joint offsets
+    grid = (config.grid_w, config.grid_h)
+    bounds = {"category": (config.num_classes,), "cell": grid, "joint": (config.num_joints,)}
+    out = {"objects": _table(entry, "objects", where, bounds, config.num_joints, pose)}
+    n = len(out["objects"]["cell"])
+    out["collisions"] = np.empty((0, 2), np.intp)
+    if "collisions" in entry:
+        c = _table(entry, "collisions", where, {**bounds, "first": (n,), "second": (n,)})
+        out["collisions"] = np.column_stack([c["first"], c["second"]]).reshape(-1, 2)
+    if "clamped_centers" in entry:
+        out["clamped_centers"] = require_field(entry, "clamped_centers", int, where)
+    if pose:
+        out["joint_cells"] = _table(entry, "joint_cells", where, bounds)
+    return out
 
 
 def write_targets(ts: TargetSet, image_dir: Path, image_id: int, annotation_ids: list[int]) -> dict:
@@ -119,20 +189,15 @@ def write_targets(ts: TargetSet, image_dir: Path, image_id: int, annotation_ids:
             write_grid(image_dir / f"{name}.cpt", getattr(ts, name))
             tensors[name] = f"{image_dir.name}/{name}.cpt"
     cfg = ts.config
-    entry = {
+    return {
         "id": image_id,
         "input_w": cfg.input_w,
         "input_h": cfg.input_h,
         "grid_w": cfg.grid_w,
         "grid_h": cfg.grid_h,
         "tensors": tensors,
-        "objects": [{"annotation_id": annotation_ids[o.index], **to_json(o)} for o in ts.objects],
-        "collisions": [to_json(c) for c in ts.collisions],
-        "clamped_centers": ts.clamped_centers,
+        **tables_to_json(ts, annotation_ids),
     }
-    if ts.joint_cells is not None:
-        entry["joint_cells"] = [to_json(jc) for jc in ts.joint_cells]
-    return entry
 
 
 def read_targets(manifest_path, image_id: int | None) -> TargetSet:
@@ -176,14 +241,7 @@ def read_targets(manifest_path, image_id: int | None) -> TargetSet:
                 f"{where} tensors {name}: grid is {grid.width}x{grid.height}, the manifest gives "
                 f"{config.grid_w}x{config.grid_h}"
             )
-    ts = TargetSet(config=config, **grids, objects=_records(entry, "objects", object_from_json, where))
-    if "collisions" in entry:
-        ts.collisions = _records(entry, "collisions", _collision_from_json, where)
-    if "clamped_centers" in entry:
-        ts.clamped_centers = require_field(entry, "clamped_centers", int, where)
-    if "joint_cells" in entry:
-        ts.joint_cells = _records(entry, "joint_cells", joint_cell_from_json, where)
-    return ts
+    return TargetSet(config=config, **grids, **tables_from_json(entry, config, where))
 
 
 def _joint_from_json(raw, where: str) -> Joint:

@@ -7,7 +7,7 @@ offsets from the center, joint heatmaps, joint local offsets).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,56 +140,30 @@ class ObjectAnnotation:
 
 
 @dataclass
-class ObjectTarget:
-    """Per-object supervision record: where to read predictions and what they should be."""
-
-    index: int
-    category: int
-    cell: tuple[int, int]
-    offset: tuple[float, float]
-    size: tuple[float, float]
-    depth: float | None = None
-    dims3d: tuple[float, float, float] | None = None
-    yaw: float | None = None
-    orientation: np.ndarray | None = None
-    joint_offsets: np.ndarray | None = None  # (k, 2), cells, relative to the center cell
-    joint_mask: np.ndarray | None = None  # (k,), 1 where the joint is supervised
-
-
-@dataclass
-class CollisionRecord:
-    """Two same-class objects whose centers landed on the same output cell."""
-
-    cell: tuple[int, int]
-    category: int
-    first: int
-    second: int
-
-
-@dataclass
-class JointCell:
-    """Supervision for the joint local-offset head at one visible joint's cell."""
-
-    joint: int
-    cell: tuple[int, int]
-    offset: tuple[float, float]
-
-
-@dataclass
 class TargetSet:
-    """Dense target grids plus the per-object records needed by the masked losses."""
+    """Dense target grids plus the column tables the masked losses read.
+
+    objects: one row per annotation, in annotation order: "category" (N,),
+    "cell" (N, 2) intp, "offset" and "size" (N, 2); "depth", "dims3d" (N, 3),
+    "yaw" and "orientation" (N, 8), None when no object has one and NaN in
+    the rows of those that lack it; "joint_offsets" (N, K, 2) and
+    "joint_mask" (N, K) from encode_pose. collisions: (first, second) rows,
+    each later object against every earlier one on its cell and class, by
+    second. joint_cells: per visible joint on the grid, in (person, joint)
+    order, "joint" (M,), "cell" (M, 2) intp and "offset" (M, 2).
+    """
 
     config: EncoderConfig
     heatmap: DenseGrid
     size: DenseGrid
     offset: DenseGrid
     center_mask: DenseGrid
-    objects: list[ObjectTarget] = field(default_factory=list)
-    collisions: list[CollisionRecord] = field(default_factory=list)
+    objects: dict[str, np.ndarray | None]
+    collisions: np.ndarray
     clamped_centers: int = 0
     joint_heatmap: DenseGrid | None = None
     joint_local_offset: DenseGrid | None = None
-    joint_cells: list[JointCell] | None = None
+    joint_cells: dict[str, np.ndarray] | None = None
 
     @property
     def collision_count(self) -> int:
@@ -222,10 +196,11 @@ def encode_depth(depth: float) -> float:
     return -math.log(depth)
 
 
-def _object_sigma(ann: ObjectAnnotation, cfg: EncoderConfig) -> float:
-    """Gaussian radius sigma of an object's heatmap peak, from its box in output cells."""
+def _object_sigma(box: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """Gaussian sigma of each (x1, y1, x2, y2) row's heatmap peak, from its box in output cells."""
     r = cfg.output_stride
-    return gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
+    w, h = box[:, 2] - box[:, 0], box[:, 3] - box[:, 1]
+    return gaussian_sigma(np.maximum(w / r, 1e-12), np.maximum(h / r, 1e-12), cfg.min_overlap)
 
 
 def _grid_side(side: float, stride: int) -> int:
@@ -250,62 +225,99 @@ def _named(i: int, ann: ObjectAnnotation) -> str:
     return f"annotation {i}" if ann.id is None else f"image {ann.image_id} annotation {ann.id}"
 
 
+def _check(annotations: list[ObjectAnnotation], checks) -> None:
+    """Raise the InputError of the first annotation failing a (mask, message of annotation i) check, in order."""
+    bad = np.array([mask for mask, _ in checks], dtype=bool).reshape(len(checks), len(annotations))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise InputError(f"{_named(i, annotations[i])}: {checks[int(np.argmax(bad[:, i]))][1](i)}")
+
+
+def _floor(v: np.ndarray) -> np.ndarray:
+    """int(math.floor(v)) as floats: + 0.0 makes a -0.0 floor the 0.0 of int 0, so v minus it keeps its sign."""
+    return np.floor(v) + 0.0
+
+
+def _write_at_cells(cell: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> None:
+    """data[:, y, x] = row for each (data, rows) pair, (x, y) cell and row: of rows on one cell, the last stays."""
+    flat = cell[:, 1] * pairs[0][0].shape[2] + cell[:, 0]
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    for data, rows in pairs:
+        data[:, cell[last, 1], cell[last, 0]] = rows[last].T
+
+
+def _collisions(key: np.ndarray) -> np.ndarray:
+    """(first, second) rows of the objects with equal keys: each later one against every earlier one, by second."""
+    order = np.argsort(key, kind="stable")  # each key's objects in row order
+    repeat = key[order][1:] == key[order][:-1]
+    if not repeat.any():
+        return np.empty((0, 2), np.intp)
+    start = np.flatnonzero(np.append(True, ~repeat))
+    count = np.append(start[1:], len(key)) - start
+    shared = count > 1  # the colliding cells, each looped over once
+    pairs = [order[s : s + c][np.column_stack(np.triu_indices(c, 1))] for s, c in zip(start[shared], count[shared])]
+    pairs = np.concatenate(pairs)
+    return pairs[np.lexsort(pairs.T)]
+
+
 def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> TargetSet:
     """Build detection targets: splat center Gaussians, write size/offset at center cells.
 
     Centers share the class-agnostic size and offset maps; when two objects
     land on one cell the later one overwrites those values, the heatmap takes
     the element-wise max, and same-class pairs are recorded as collisions.
-    3D targets are attached to the records when the annotation carries them.
+    3D targets go into the object table when an annotation carries them.
+    Every step is an array pass over the objects, but for one
+    encode_orientation call per object with a yaw.
     """
-    gw, gh, r = cfg.grid_w, cfg.grid_h, cfg.output_stride
+    gw, gh, r, n = cfg.grid_w, cfg.grid_h, cfg.output_stride, len(annotations)
+    category = np.array([a.category for a in annotations]).reshape(n)
+    # every float field, a None one as NaN: bbox, depth, dims3d and yaw
+    fields = np.array([(*a.bbox, a.depth, *(a.dims3d or (None,) * 3), a.yaw) for a in annotations], np.float64)
+    fields = fields.reshape(n, 9)
+    box, depth, dims3d, yaw = fields[:, :4], fields[:, 4], fields[:, 5:8], fields[:, 8]
+    x1, y1, x2, y2 = box.T
+    with np.errstate(over="ignore", invalid="ignore"):  # a size past the float range is inf, rejected below
+        size = np.column_stack([x2 - x1, y2 - y1])
+    _check(annotations, [
+        ((category < 0) | (category >= cfg.num_classes),
+         lambda i: f"category {annotations[i].category} out of range [0, {cfg.num_classes})"),
+        ((x1 > cfg.input_w) | (y1 > cfg.input_h) | (x2 < 0) | (y2 < 0),
+         lambda i: f"bbox {annotations[i].bbox} lies outside the image; clamp at ingestion"),
+        (~np.isfinite(size).all(axis=1), lambda i: f"bbox {annotations[i].bbox} is not finite, or its size is not"),
+        (np.isinf(depth), lambda i: f"depth {annotations[i].depth} is not finite"),
+        (np.isinf(dims3d).any(axis=1), lambda i: f"dims3d {annotations[i].dims3d} is not finite"),
+    ])
+    category = category.astype(np.intp)
+
+    # the center cell rule of _center_cell: the floored strided center, clamped into the grid
+    gx, gy = (x1 + x2) / 2.0 / r, (y1 + y2) / 2.0 / r
+    fx, fy = _floor(gx), _floor(gy)
+    cx, cy = np.clip(fx, 0, gw - 1), np.clip(fy, 0, gh - 1)
+    if cfg.size_units == "cells":
+        size = size / r
+    orientation = np.full((n, 8), np.nan)
+    for i in np.flatnonzero(~np.isnan(yaw)).tolist():
+        orientation[i] = encode_orientation(float(yaw[i]))
+    cell = np.column_stack([cx, cy]).astype(np.intp).reshape(n, 2)
+    optional = {"depth": depth, "dims3d": dims3d, "yaw": yaw, "orientation": orientation}
+    objects = dict(category=category, cell=cell, offset=np.column_stack([gx - cx, gy - cy]), size=size,
+                   **{name: None if np.isnan(col).all() else col for name, col in optional.items()},
+                   joint_offsets=None, joint_mask=None)
+    ix, iy = cell.T
     ts = TargetSet(
         config=cfg,
         heatmap=DenseGrid.zeros(gw, gh, cfg.num_classes),
         size=DenseGrid.zeros(gw, gh, 2),
         offset=DenseGrid.zeros(gw, gh, 2),
         center_mask=DenseGrid.zeros(gw, gh, 1),
+        objects=objects,
+        collisions=_collisions((category * gh + iy) * gw + ix),
+        clamped_centers=int(np.count_nonzero((fx != cx) | (fy != cy))),
     )
-    occupants: dict[tuple[int, int, int], list[int]] = {}
-    splats = []
-    for i, ann in enumerate(annotations):
-        if not 0 <= ann.category < cfg.num_classes:
-            raise InputError(f"{_named(i, ann)}: category {ann.category} out of range [0, {cfg.num_classes})")
-        x1, y1, x2, y2 = ann.bbox
-        if x1 > cfg.input_w or y1 > cfg.input_h or x2 < 0 or y2 < 0:
-            raise InputError(f"{_named(i, ann)}: bbox {ann.bbox} lies outside the image; clamp at ingestion")
-        cx, cy, ox, oy, clamped = _center_cell(ann, r, gw, gh)
-        if clamped:
-            ts.clamped_centers += 1
-
-        splats.append((ann.category, float(cx), float(cy), _object_sigma(ann, cfg)))
-
-        sw, sh = (ann.width, ann.height) if cfg.size_units == "pixels" else (ann.width / r, ann.height / r)
-        ts.size.data[0, cy, cx] = sw
-        ts.size.data[1, cy, cx] = sh
-        ts.offset.data[0, cy, cx] = ox
-        ts.offset.data[1, cy, cx] = oy
-        ts.center_mask.data[0, cy, cx] = 1.0
-
-        key = (cx, cy, ann.category)
-        for prev in occupants.get(key, ()):
-            ts.collisions.append(CollisionRecord(cell=(cx, cy), category=ann.category, first=prev, second=i))
-        occupants.setdefault(key, []).append(i)
-
-        ts.objects.append(
-            ObjectTarget(
-                index=i,
-                category=ann.category,
-                cell=(cx, cy),
-                offset=(ox, oy),
-                size=(sw, sh),
-                depth=ann.depth,
-                dims3d=ann.dims3d,
-                yaw=ann.yaw,
-                orientation=encode_orientation(ann.yaw) if ann.yaw is not None else None,
-            )
-        )
-    _splat(ts.heatmap.data, splats)
+    _write_at_cells(cell, (ts.size.data, objects["size"]), (ts.offset.data, objects["offset"]))
+    ts.center_mask.data[0, iy, ix] = 1.0
+    _splat(ts.heatmap.data, np.column_stack([category, cx, cy, _object_sigma(box, cfg)]))
     return ts
 
 
@@ -316,39 +328,36 @@ def encode_pose(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> Targ
     outside the grid are likewise masked out. Joint heatmaps reuse the
     object's size-adaptive sigma.
     """
-    for i, ann in enumerate(annotations):
-        if ann.keypoints is None:
-            raise InputError(f"{_named(i, ann)}: keypoints required for pose encoding")
-        if len(ann.keypoints) != cfg.num_joints:
-            raise InputError(
-                f"{_named(i, ann)}: {len(ann.keypoints)} joints, config expects {cfg.num_joints}"
-            )
+    gw, gh, r, k, n = cfg.grid_w, cfg.grid_h, cfg.output_stride, cfg.num_joints, len(annotations)
+    count = np.array([-1 if a.keypoints is None else len(a.keypoints) for a in annotations]).reshape(n)
+    # (x, y, visible) of every joint; the annotations that fail a check below get zeros
+    xyv = np.array(
+        [a.keypoints if c == k else [(0.0, 0.0, 0.0)] * k for a, c in zip(annotations, count.tolist())], np.float64
+    ).reshape(n, k, 3)
+    _check(annotations, [
+        (count < 0, lambda i: "keypoints required for pose encoding"),
+        (count != k, lambda i: f"{count[i]} joints, config expects {k}"),
+        (~np.isfinite(xyv).all(axis=(1, 2)), lambda i: f"keypoints {annotations[i].keypoints} are not finite"),
+    ])
     ts = encode_detection(annotations, cfg)
-    gw, gh, r, k = cfg.grid_w, cfg.grid_h, cfg.output_stride, cfg.num_joints
-    ts.joint_heatmap = DenseGrid.zeros(gw, gh, k)
-    ts.joint_local_offset = DenseGrid.zeros(gw, gh, 2)
-    ts.joint_cells = []
+    jx, jy = xyv[:, :, 0] / r, xyv[:, :, 1] / r
+    fx, fy = _floor(jx), _floor(jy)
+    on = (xyv[:, :, 2] != 0) & (fx >= 0) & (fx < gw) & (fy >= 0) & (fy < gh)
+    cell = ts.objects["cell"]
+    offsets = np.stack([jx - cell[:, :1], jy - cell[:, 1:]], axis=2)
+    ts.objects["joint_offsets"] = np.where(on[:, :, None], offsets, 0.0)
+    ts.objects["joint_mask"] = on.astype(np.float64)
 
-    splats = []
-    for ann, tgt in zip(annotations, ts.objects):
-        cx, cy = tgt.cell
-        offs = np.zeros((k, 2), dtype=np.float64)
-        mask = np.zeros(k, dtype=np.float64)
-        sigma = _object_sigma(ann, cfg)
-        for j, (jx, jy, visible) in enumerate(ann.keypoints):
-            if not visible:
-                continue
-            jcx, jcy = int(math.floor(jx / r)), int(math.floor(jy / r))
-            if not (0 <= jcx < gw and 0 <= jcy < gh):
-                continue
-            offs[j] = (jx / r - cx, jy / r - cy)
-            mask[j] = 1.0
-            splats.append((j, float(jcx), float(jcy), sigma))
-            local = (jx / r - jcx, jy / r - jcy)
-            ts.joint_local_offset.data[0, jcy, jcx] = local[0]
-            ts.joint_local_offset.data[1, jcy, jcx] = local[1]
-            ts.joint_cells.append(JointCell(joint=j, cell=(jcx, jcy), offset=local))
-        tgt.joint_offsets = offs
-        tgt.joint_mask = mask
-    _splat(ts.joint_heatmap.data, splats)
+    person, joint = np.nonzero(on)
+    jcx, jcy = fx[person, joint], fy[person, joint]
+    ts.joint_cells = {
+        "joint": joint.astype(np.intp),
+        "cell": np.column_stack([jcx, jcy]).astype(np.intp).reshape(-1, 2),
+        "offset": np.column_stack([jx[person, joint] - jcx, jy[person, joint] - jcy]),
+    }
+    ts.joint_local_offset = DenseGrid.zeros(gw, gh, 2)
+    _write_at_cells(ts.joint_cells["cell"], (ts.joint_local_offset.data, ts.joint_cells["offset"]))
+    ts.joint_heatmap = DenseGrid.zeros(gw, gh, k)
+    box = np.array([a.bbox for a in annotations], dtype=np.float64).reshape(n, 4)
+    _splat(ts.joint_heatmap.data, np.column_stack([joint, jcx, jcy, _object_sigma(box, cfg)[person]]))
     return ts

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
-from cpt import DenseGrid, FocalParams, MatchResult, extract_peaks
+from cpt import DenseGrid, EncoderConfig, FocalParams, InputError, MatchResult, TargetSet, encode_orientation, extract_peaks
 from cpt.decode import REGRESSED, SNAPPED, Detection, Joint, decode_depth, decode_orientation
+from cpt.grid import MIN_RADIUS
+from cpt.targets import _center_cell, _named
 
 
 def shift_case_ious(w: float, h: float, r: float) -> tuple[float, float, float]:
@@ -236,8 +238,114 @@ def reference_splats(data: np.ndarray, splats) -> None:
     """Each (channel, px, py, sigma) through reference_splat in turn, the result written back into data."""
     grid = DenseGrid(data)
     for channel, px, py, sigma in splats:
-        grid = reference_splat(grid, (px, py), channel, sigma)
+        grid = reference_splat(grid, (px, py), int(channel), sigma)
     data[...] = grid.data
+
+
+def reference_gaussian_sigma(box_w: float, box_h: float, min_overlap: float) -> float:
+    """gaussian_sigma of one box in Python floats and math.sqrt: the three closed-form shift cases."""
+    w, h, t = float(box_w), float(box_h), float(min_overlap)
+    b1 = w + h
+    c1 = w * h * (1 - t) / (1 + t)
+    r1 = (b1 - math.sqrt(max(b1 * b1 - 4 * c1, 0.0))) / 2
+    a2, b2, c2 = 4.0, 2 * (w + h), (1 - t) * w * h
+    r2 = (b2 - math.sqrt(max(b2 * b2 - 4 * a2 * c2, 0.0))) / (2 * a2)
+    a3, b3, c3 = 4.0 * t, -2 * t * (w + h), (t - 1) * w * h
+    r3 = (b3 + math.sqrt(max(b3 * b3 - 4 * a3 * c3, 0.0))) / (2 * a3)
+    return max(max(0.0, min(r1, r2, r3)), MIN_RADIUS) / 3.0
+
+
+def _column(values: list, shape: tuple, dtype=np.float64, optional: bool = False):
+    """One table column of per-object values: NaN rows for None, and None when an optional field is in no row."""
+    if optional and all(v is None for v in values):
+        return None
+    return np.array([np.full(shape, np.nan) if v is None else v for v in values], dtype=dtype).reshape(len(values), *shape)
+
+
+def reference_encode_detection(annotations, cfg: EncoderConfig) -> TargetSet:
+    """encode_detection as a loop over the objects, one object at a time, splatted by reference_splat.
+
+    Each object's center cell comes from the scalar rule targets._center_cell.
+    """
+    gw, gh, r = cfg.grid_w, cfg.grid_h, cfg.output_stride
+    heatmap, size, offset = np.zeros((cfg.num_classes, gh, gw)), np.zeros((2, gh, gw)), np.zeros((2, gh, gw))
+    center_mask = np.zeros((1, gh, gw))
+    occupants: dict[tuple[int, int, int], list[int]] = {}
+    rows, collisions, splats, clamped_centers = [], [], [], 0
+    for i, ann in enumerate(annotations):
+        if not 0 <= ann.category < cfg.num_classes:
+            raise InputError(f"{_named(i, ann)}: category {ann.category} out of range [0, {cfg.num_classes})")
+        x1, y1, x2, y2 = ann.bbox
+        if x1 > cfg.input_w or y1 > cfg.input_h or x2 < 0 or y2 < 0:
+            raise InputError(f"{_named(i, ann)}: bbox {ann.bbox} lies outside the image; clamp at ingestion")
+        cx, cy, ox, oy, clamped = _center_cell(ann, r, gw, gh)
+        clamped_centers += clamped
+        sigma = reference_gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
+        splats.append((ann.category, float(cx), float(cy), sigma))
+        sw, sh = (ann.width, ann.height) if cfg.size_units == "pixels" else (ann.width / r, ann.height / r)
+        size[:, cy, cx] = (sw, sh)
+        offset[:, cy, cx] = (ox, oy)
+        center_mask[0, cy, cx] = 1.0
+        key = (cx, cy, ann.category)
+        collisions += [(prev, i) for prev in occupants.get(key, ())]
+        occupants.setdefault(key, []).append(i)
+        orientation = encode_orientation(ann.yaw) if ann.yaw is not None else None
+        rows.append(((cx, cy), (ox, oy), (sw, sh), ann.category, ann.depth, ann.dims3d, ann.yaw, orientation))
+    reference_splats(heatmap, splats)
+    cell, off, sz, category, depth, dims3d, yaw, orientation = (list(c) for c in zip(*rows)) if rows else [[]] * 8
+    objects = {
+        "cell": _column(cell, (2,), np.intp),
+        "offset": _column(off, (2,)),
+        "size": _column(sz, (2,)),
+        "category": _column(category, (), np.intp),
+        "depth": _column(depth, (), optional=True),
+        "dims3d": _column(dims3d, (3,), optional=True),
+        "yaw": _column(yaw, (), optional=True),
+        "orientation": _column(orientation, (8,), optional=True),
+        "joint_offsets": None,
+        "joint_mask": None,
+    }
+    grids = {name: DenseGrid(g) for name, g in
+             (("heatmap", heatmap), ("size", size), ("offset", offset), ("center_mask", center_mask))}
+    return TargetSet(config=cfg, **grids, objects=objects, collisions=_column(collisions, (2,), np.intp),
+                     clamped_centers=clamped_centers)
+
+
+def reference_encode_pose(annotations, cfg: EncoderConfig) -> TargetSet:
+    """encode_pose as a loop over the objects and their joints, on reference_encode_detection's targets."""
+    for i, ann in enumerate(annotations):
+        if ann.keypoints is None:
+            raise InputError(f"{_named(i, ann)}: keypoints required for pose encoding")
+        if len(ann.keypoints) != cfg.num_joints:
+            raise InputError(f"{_named(i, ann)}: {len(ann.keypoints)} joints, config expects {cfg.num_joints}")
+    ts = reference_encode_detection(annotations, cfg)
+    gw, gh, r, k = cfg.grid_w, cfg.grid_h, cfg.output_stride, cfg.num_joints
+    joint_heatmap, local_offset = np.zeros((k, gh, gw)), np.zeros((2, gh, gw))
+    offsets, masks, joint_rows, splats = [], [], [], []
+    for ann, (cx, cy) in zip(annotations, ts.objects["cell"].tolist()):
+        offs, mask = np.zeros((k, 2)), np.zeros(k)
+        sigma = reference_gaussian_sigma(max(ann.width / r, 1e-12), max(ann.height / r, 1e-12), cfg.min_overlap)
+        for j, (jx, jy, visible) in enumerate(ann.keypoints):
+            if not visible:
+                continue
+            jcx, jcy = int(math.floor(jx / r)), int(math.floor(jy / r))
+            if not (0 <= jcx < gw and 0 <= jcy < gh):
+                continue
+            offs[j] = (jx / r - cx, jy / r - cy)
+            mask[j] = 1.0
+            splats.append((j, float(jcx), float(jcy), sigma))
+            local = (jx / r - jcx, jy / r - jcy)
+            local_offset[:, jcy, jcx] = local
+            joint_rows.append((j, (jcx, jcy), local))
+        offsets.append(offs)
+        masks.append(mask)
+    reference_splats(joint_heatmap, splats)
+    ts.objects["joint_offsets"] = _column(offsets, (k, 2))
+    ts.objects["joint_mask"] = _column(masks, (k,))
+    joint, cell, local = (list(c) for c in zip(*joint_rows)) if joint_rows else [[]] * 3
+    ts.joint_cells = {"joint": _column(joint, (), np.intp), "cell": _column(cell, (2,), np.intp), "offset": _column(local, (2,))}
+    ts.joint_heatmap, ts.joint_local_offset = DenseGrid(joint_heatmap), DenseGrid(local_offset)
+    return ts
 
 
 def reference_l1_at_cells(pred: DenseGrid, entries, n: int) -> tuple[float, DenseGrid]:
@@ -347,3 +455,30 @@ def reference_decode_pose(
             joints.append(Joint(lx, ly, REGRESSED) if best is None else best)
         dets.append(Detection(category=peak.channel, score=peak.score, box=box, center=center, joints=joints))
     return dets
+
+
+def assert_same_table(got: dict | None, want: dict | None) -> None:
+    """Column for column: both None, or the same dtype, shape, NaN entries and bytes."""
+    assert (got is None) == (want is None)
+    assert want is None or got.keys() == want.keys()
+    for name, col in (want or {}).items():
+        assert (got[name] is None) == (col is None), name
+        if col is not None:
+            assert got[name].dtype == col.dtype and got[name].shape == col.shape, name
+            nan = np.isnan(col)
+            assert np.array_equal(np.isnan(got[name]), nan), name
+            assert got[name][~nan].tobytes() == col[~nan].tobytes(), name
+
+
+def assert_same_targets(got: TargetSet, want: TargetSet) -> None:
+    """The config, every grid's dtype and bytes, both tables, the collision rows and the clamp count."""
+    assert got.config == want.config
+    for name in ("heatmap", "size", "offset", "center_mask", "joint_heatmap", "joint_local_offset"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes(), name
+    assert_same_table(got.objects, want.objects)
+    assert_same_table(got.joint_cells, want.joint_cells)
+    assert got.collisions.dtype == np.intp and got.collisions.tolist() == want.collisions.tolist()
+    assert got.clamped_centers == want.clamped_centers

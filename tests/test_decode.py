@@ -96,7 +96,7 @@ class TestDecodeBoxes:
         assert ts.collision_count == 0
         dets = [d for d in decode_boxes(ts.heatmap, ts.offset, ts.size, size_units=units, stride=4) if d.score > 0]
         assert len(dets) == 20
-        by_cell = {obj.cell: anns[obj.index] for obj in ts.objects}
+        by_cell = {tuple(cell): anns[i] for i, cell in enumerate(ts.objects["cell"].tolist())}
         for det in dets:
             ann = by_cell[(int(det.center[0]), int(det.center[1]))]
             expected = tuple(v / 4.0 for v in ann.bbox)
@@ -249,11 +249,8 @@ class TestDecodePose:
     def joints_grid(ts):
         k = ts.joint_heatmap.channels
         g = DenseGrid.zeros(ts.heatmap.width, ts.heatmap.height, 2 * k)
-        for obj in ts.objects:
-            cx, cy = obj.cell
-            for j in range(k):
-                g.data[2 * j, cy, cx] = obj.joint_offsets[j][0]
-                g.data[2 * j + 1, cy, cx] = obj.joint_offsets[j][1]
+        cx, cy = ts.objects["cell"].T
+        g.data[:, cy, cx] = ts.objects["joint_offsets"].reshape(-1, 2 * k).T
         return g
 
     def test_single_person_snaps_exactly(self):
@@ -277,10 +274,10 @@ class TestDecodePose:
             )
             if d.score > 0
         ]
-        obj = ts.objects[0]
+        cell, offsets = ts.objects["cell"][0], ts.objects["joint_offsets"][0]
         for j, joint in enumerate(dets[0].joints):
             assert joint.source == REGRESSED
-            expected = (obj.cell[0] + obj.joint_offsets[j][0], obj.cell[1] + obj.joint_offsets[j][1])
+            expected = (cell[0] + offsets[j][0], cell[1] + offsets[j][1])
             assert (joint.x, joint.y) == pytest.approx(expected, abs=1e-9)
 
     def test_snapped_joints_stay_inside_box(self):
@@ -314,13 +311,14 @@ class TestDecodePose:
                             p.y + ts.joint_local_offset.data[1, p.y, p.x],
                         )
                     )
-            centers = {obj.cell: obj for obj in ts.objects}
+            centers = {tuple(cell): i for i, cell in enumerate(ts.objects["cell"].tolist())}
             for det in dets:
-                obj = centers[(int(det.center[0]), int(det.center[1]))]
+                i = centers[(int(det.center[0]), int(det.center[1]))]
+                cell, offsets = ts.objects["cell"][i], ts.objects["joint_offsets"][i]
                 x1, y1, x2, y2 = det.box
                 for j, joint in enumerate(det.joints):
-                    lx = obj.cell[0] + obj.joint_offsets[j][0]
-                    ly = obj.cell[1] + obj.joint_offsets[j][1]
+                    lx = cell[0] + offsets[j][0]
+                    ly = cell[1] + offsets[j][1]
                     inside = [c for c in refined[j] if x1 <= c[0] <= x2 and y1 <= c[1] <= y2]
                     if not inside:
                         assert joint.source == REGRESSED

@@ -240,3 +240,23 @@ class TestAnchors:
     def test_anchor_config_validates(self, kwargs):
         with pytest.raises(InputError):
             AnchorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([10**400], r"^anchor sizes entry 1000000000000000000000000000000000000000: int too large to convert"),
+            ([[32.0]], r"^anchor sizes entry \[32\.0\]: float\(\) argument must be"),
+            (["32"], r"^anchor sizes entry '32': must be a number, not str"),
+            (np.array([[32.0]]), r"^anchor sizes entry array\(\[32\.\]\): only 0-dimensional arrays"),
+            (np.array([-1.0]), r"^anchor sizes must be finite and > 0, got \(-1\.0,\)$"),
+        ],
+    )
+    def test_anchor_config_entries_are_plain_floats(self, sizes, message):
+        with pytest.raises(InputError, match=message):
+            AnchorConfig(sizes=sizes)
+
+    def test_anchor_config_stores_plain_floats(self):
+        cfg = AnchorConfig(sizes=np.array([16.0, 32.0]), ratios=[1])
+        assert cfg.sizes == (16.0, 32.0) and cfg.ratios == (1.0,)
+        assert all(type(v) is float for v in cfg.sizes + cfg.ratios)
+        assert cfg == AnchorConfig(sizes=(16.0, 32.0), ratios=(1.0,))

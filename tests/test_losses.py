@@ -35,7 +35,6 @@ from cpt.losses import (
     gradcheck_size,
 )
 from cpt.synthetic import make_dataset
-from cpt.targets import JointCell, ObjectTarget
 
 from oracles import reference_focal_loss, reference_l1_at_cells
 
@@ -49,7 +48,27 @@ def grid1(value):
 
 
 def record(cell, offset=(0.0, 0.0), size=(0.0, 0.0), **kw):
-    return ObjectTarget(index=0, category=0, cell=cell, offset=offset, size=size, **kw)
+    return dict(cell=cell, offset=offset, size=size, **kw)
+
+
+def table(records):
+    """The object table (TargetSet.objects) with one row per record, in order."""
+    n = len(records)
+    columns = {"cell": ((2,), np.intp), "offset": ((2,), np.float64), "size": ((2,), np.float64)}
+    out = {name: np.array([r[name] for r in records], dtype=dtype).reshape(n, *shape) for name, (shape, dtype) in columns.items()}
+    pose = records and "joint_offsets" in records[0]
+    out["joint_offsets"] = np.array([r["joint_offsets"] for r in records]) if pose else None
+    out["joint_mask"] = np.array([r["joint_mask"] for r in records]) if pose else None
+    return out
+
+
+def joint_table(*rows):
+    """A joint table (TargetSet.joint_cells) of (joint, cell, offset) rows."""
+    return {
+        "joint": np.array([j for j, _, _ in rows], dtype=np.intp),
+        "cell": np.array([c for _, c, _ in rows], dtype=np.intp).reshape(-1, 2),
+        "offset": np.array([o for _, _, o in rows], dtype=np.float64).reshape(-1, 2),
+    }
 
 
 class TestFocalLoss:
@@ -266,14 +285,14 @@ class TestMaskedL1:
     def test_zero_at_exact_prediction(self):
         pred = DenseGrid.zeros(4, 4, 2)
         pred.data[:, 1, 2] = (0.25, 0.75)
-        value, grad = masked_l1(pred, [record((2, 1), offset=(0.25, 0.75))], "offset")
+        value, grad = masked_l1(pred, table([record((2, 1), offset=(0.25, 0.75))]), "offset")
         assert value == 0.0
         assert np.all(grad.data == 0.0)
 
     def test_size_example(self):
         pred = DenseGrid.zeros(8, 8, 2)
         pred.data[:, 3, 3] = (2.0, 8.0)
-        value, grad = masked_l1(pred, [record((3, 3), size=(4.0, 4.0))], "size")
+        value, grad = masked_l1(pred, table([record((3, 3), size=(4.0, 4.0))]), "size")
         assert value == 6.0
         assert grad.data[0, 3, 3] == -1.0
         assert grad.data[1, 3, 3] == 1.0
@@ -283,16 +302,16 @@ class TestMaskedL1:
         pred.data[:, 0, 0] = (0.5, 0.0)
         pred.data[:, 5, 5] = (0.0, 0.5)
         recs = [record((0, 0)), record((5, 5))]
-        value, _ = masked_l1(pred, recs, "offset")
+        value, _ = masked_l1(pred, table(recs), "offset")
         assert value == 0.5
 
     def test_empty_records(self):
-        value, grad = masked_l1(DenseGrid.zeros(4, 4, 2), [], "offset")
+        value, grad = masked_l1(DenseGrid.zeros(4, 4, 2), table([]), "offset")
         assert value == 0.0 and np.all(grad.data == 0.0)
 
     def test_supervision_only_at_cells(self):
         pred = DenseGrid(rng(1).uniform(-1, 1, size=(2, 6, 6)))
-        _, grad = masked_l1(pred, [record((2, 3), size=(0.1, 0.1))], "size")
+        _, grad = masked_l1(pred, table([record((2, 3), size=(0.1, 0.1))]), "size")
         mask = np.zeros((2, 6, 6), dtype=bool)
         mask[:, 3, 2] = True
         assert np.all(grad.data[~mask] == 0.0)
@@ -300,7 +319,7 @@ class TestMaskedL1:
     def test_shared_cell_gradients_accumulate(self):
         pred = DenseGrid.zeros(4, 4, 2)
         recs = [record((1, 1), size=(1.0, 1.0)), record((1, 1), size=(2.0, 2.0))]
-        value, grad = masked_l1(pred, recs, "size")
+        value, grad = masked_l1(pred, table(recs), "size")
         assert value == pytest.approx((2.0 + 4.0) / 2)
         assert grad.data[0, 1, 1] == pytest.approx(-1.0)  # two signs of -1/2 each
 
@@ -312,41 +331,41 @@ class TestMaskedL1:
             joint_offsets=np.array([[0.0, 0.0], [0.5, 1.0]]),
             joint_mask=np.array([0.0, 1.0]),
         )
-        value, grad = masked_l1(pred, [rec], "joint_offset")
+        value, grad = masked_l1(pred, table([rec]), "joint_offset")
         assert value == pytest.approx(0.5 + 1.0)  # masked joint contributes nothing
         assert np.all(grad.data[:2] == 0.0)
 
     def test_unknown_head(self):
         with pytest.raises(InputError):
-            masked_l1(DenseGrid.zeros(2, 2, 2), [], "color")
+            masked_l1(DenseGrid.zeros(2, 2, 2), table([]), "color")
 
     def test_duplicated_records_leave_value_unchanged(self):
         pred = DenseGrid(rng(2).uniform(0, 1, size=(2, 6, 6)))
         recs = [record((1, 1), offset=(0.3, 0.4)), record((4, 2), offset=(0.9, 0.1))]
-        v1, _ = masked_l1(pred, recs, "offset")
-        v2, _ = masked_l1(pred, recs + recs, "offset")
+        v1, _ = masked_l1(pred, table(recs), "offset")
+        v2, _ = masked_l1(pred, table(recs + recs), "offset")
         assert v2 == pytest.approx(v1, rel=1e-12)
 
 
 class TestJointLocalOffsetLoss:
     def test_matches_manual_sum(self):
         pred = DenseGrid.zeros(4, 4, 2)
-        cells = [JointCell(joint=0, cell=(1, 1), offset=(0.5, 0.25)), JointCell(joint=1, cell=(2, 2), offset=(0.0, 0.0))]
+        cells = joint_table((0, (1, 1), (0.5, 0.25)), (1, (2, 2), (0.0, 0.0)))
         value, _ = joint_local_offset_loss(pred, cells)
         assert value == pytest.approx(0.75 / 2)
 
     @pytest.mark.parametrize("cell", [(-1, 0), (4, 0), (0, -1), (0, 4)])
     def test_cell_outside_grid(self, cell):
-        cells = [JointCell(joint=0, cell=(1, 1), offset=(0.5, 0.5)), JointCell(joint=1, cell=cell, offset=(0.5, 0.5))]
-        with pytest.raises(InputError, match=rf"record 1: cell \({cell[0]}, {cell[1]}\) outside the 4x4 grid"):
+        cells = joint_table((0, (1, 1), (0.5, 0.5)), (1, cell, (0.5, 0.5)))
+        with pytest.raises(InputError, match=rf"row 1: cell \({cell[0]}, {cell[1]}\) outside the 4x4 grid"):
             joint_local_offset_loss(DenseGrid.zeros(4, 4, 2), cells)
 
 
 @st.composite
 def l1_cases(draw):
-    """A loss read at cells, its records and the (channel0, cell, target, weight) entries of the reference loop.
+    """A loss read at cells, its table and the (channel0, cell, target, weight) entries of the reference loop.
 
-    Up to 40 records on at most three distinct cells, so cells are shared and
+    Up to 40 rows on at most three distinct cells, so cells are shared and
     more than 8 terms are summed; some targets equal the prediction exactly
     (sign 0), and joint masks hold zeros.
     """
@@ -364,28 +383,29 @@ def l1_cases(draw):
         exact = r.random((joints, 2)) < 0.2
         targets[k][exact] = pred.data[:, cy, cx].reshape(joints, 2)[exact]
     masks = r.random((n, joints)) < 0.6
+    cell_column = np.array(cells, dtype=np.intp).reshape(n, 2)
     if head == "joint_offset":
-        records = [record(cell, joint_offsets=t, joint_mask=m) for cell, t, m in zip(cells, targets, masks)]
+        rows = {"cell": cell_column, "joint_offsets": targets, "joint_mask": masks.astype(np.float64)}
         entries = [(2 * j, cell, t[j], float(m[j])) for cell, t, m in zip(cells, targets, masks) for j in range(joints)]
     elif head == "joint_local_offset":
-        records = [JointCell(joint=0, cell=cell, offset=tuple(t[0])) for cell, t in zip(cells, targets)]
+        rows = {"joint": np.zeros(n, np.intp), "cell": cell_column, "offset": targets[:, 0]}
         entries = [(0, cell, np.asarray(t[0]), 1.0) for cell, t in zip(cells, targets)]
     else:
-        records = [record(cell, **{head: tuple(t[0])}) for cell, t in zip(cells, targets)]
+        rows = {"cell": cell_column, head: targets[:, 0]}
         entries = [(0, cell, tuple(t[0]), 1.0) for cell, t in zip(cells, targets)]
-    return head, pred, records, entries
+    return head, pred, rows, entries
 
 
 class TestL1MatchesReference:
     @given(case=l1_cases())
     @settings(max_examples=300, deadline=None)
     def test_value_and_gradient_bytes(self, case):
-        head, pred, records, entries = case
+        head, pred, rows, entries = case
         if head == "joint_local_offset":
-            value, grad = joint_local_offset_loss(pred, records)
+            value, grad = joint_local_offset_loss(pred, rows)
         else:
-            value, grad = masked_l1(pred, records, head)
-        ref_value, ref_grad = reference_l1_at_cells(pred, entries, len(records))
+            value, grad = masked_l1(pred, rows, head)
+        ref_value, ref_grad = reference_l1_at_cells(pred, entries, len(rows["cell"]))
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         assert grad.data.dtype == ref_grad.data.dtype and grad.data.shape == ref_grad.data.shape
         assert grad.data.tobytes() == ref_grad.data.tobytes()
@@ -534,7 +554,7 @@ class TestTotalLoss:
     def test_duplicating_objects_preserves_masked_losses(self):
         preds, ts = self.build(seed=4)
         report = total_loss(preds, ts)
-        ts.objects = ts.objects + ts.objects
+        ts.objects = {name: None if col is None else np.concatenate([col, col]) for name, col in ts.objects.items()}
         doubled = total_loss(preds, ts)
         assert doubled.offset == pytest.approx(report.offset, rel=1e-12)
         assert doubled.size == pytest.approx(report.size, rel=1e-12)
@@ -582,14 +602,14 @@ class TestGradcheck:
         ]
 
         def fn(x):
-            value, grad = masked_l1(DenseGrid(x), recs, "joint_offset")
+            value, grad = masked_l1(DenseGrid(x), table(recs), "joint_offset")
             return value, grad.data
 
         exclude = np.zeros_like(pred0, dtype=bool)
         for rec in recs:
-            cx, cy = rec.cell
+            cx, cy = rec["cell"]
             for j in range(2):
-                d = np.abs(pred0[2 * j : 2 * j + 2, cy, cx] - rec.joint_offsets[j])
+                d = np.abs(pred0[2 * j : 2 * j + 2, cy, cx] - rec["joint_offsets"][j])
                 exclude[2 * j : 2 * j + 2, cy, cx] |= d < 1e-5
         report = gradcheck(fn, pred0, exclude=exclude)
         assert report.max_rel_error < 1e-6

@@ -1,7 +1,7 @@
 """JSON records: write -> read returns every field, and readers reject malformed records.
 
 Records with array fields are compared through to_json, because dataclass
-equality is ambiguous on numpy arrays.
+equality is ambiguous on numpy arrays; target tables column by column.
 """
 import json
 import math
@@ -13,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpt import Detection, InputError, Joint, JointCell, ObjectTarget, encode_detection, encode_orientation, encode_pose
-from cpt.records import detection_from_json, joint_cell_from_json, object_from_json, read_targets, to_json, write_targets
+from cpt import Detection, InputError, Joint, encode_detection, encode_orientation, encode_pose
+from cpt.records import detection_from_json, read_targets, tables_from_json, tables_to_json, to_json, write_targets
 from cpt.synthetic import generator, make_dataset
-from cpt.targets import EncoderConfig
+from cpt.targets import EncoderConfig, TargetSet
+
+from oracles import assert_same_table, assert_same_targets
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
-INTS = st.integers(-(2**40), 2**40)
+# a 64x48 grid, 3 classes and 2 joints
+CONFIG = EncoderConfig(input_w=256, input_h=192, num_classes=3, num_joints=2)
 
 
 def _floats(n):
@@ -30,23 +33,49 @@ def _json_trip(doc):
     return json.loads(json.dumps(doc, sort_keys=True))
 
 
+def _column(draw, n, shape, elements, dtype=np.float64):
+    return np.array(draw(st.lists(st.lists(elements, min_size=math.prod(shape), max_size=math.prod(shape)),
+                                  min_size=n, max_size=n)), dtype=dtype).reshape(n, *shape)
+
+
+def _targets_of(objects, joint_cells=None, collisions=None):
+    """A TargetSet of the tables; one with pose columns has joint cells, as encode_pose gives it."""
+    grids = dict.fromkeys(("heatmap", "size", "offset", "center_mask"))
+    if joint_cells is None and objects["joint_offsets"] is not None:
+        joint_cells = {"joint": np.empty(0, np.intp), "cell": np.empty((0, 2), np.intp), "offset": np.empty((0, 2))}
+    empty = np.empty((0, 2), np.intp)
+    return TargetSet(CONFIG, **grids, objects=objects, collisions=empty if collisions is None else collisions,
+                     joint_cells=joint_cells)
+
+
+def _cells(draw, n, width=64, height=48):
+    return np.column_stack([_column(draw, n, (), st.integers(0, width - 1), np.intp),
+                            _column(draw, n, (), st.integers(0, height - 1), np.intp)]).reshape(n, 2)
+
+
 @st.composite
-def object_targets(draw):
-    obj = ObjectTarget(
-        index=draw(st.integers(0, 10**6)),
-        category=draw(st.integers(0, 90)),
-        cell=draw(st.tuples(INTS, INTS)),
-        offset=draw(_floats(2)),
-        size=draw(_floats(2)),
-    )
-    if draw(st.booleans()):
-        obj.depth, obj.dims3d, obj.yaw = draw(FLOATS), draw(_floats(3)), draw(FLOATS)
-        obj.orientation = np.array(draw(_floats(8)))
-    if draw(st.booleans()):
-        k = draw(st.integers(0, 5))
-        obj.joint_offsets = np.array(draw(st.lists(_floats(2), min_size=k, max_size=k))).reshape(-1, 2)
-        obj.joint_mask = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k, max_size=k)))
-    return obj
+def object_tables(draw, width=64, height=48):
+    """An object table under CONFIG: each 3D column absent, or present with NaN rows; pose columns or none."""
+    n = draw(st.integers(0, 5))
+    table = {
+        "category": _column(draw, n, (), st.integers(0, 2), np.intp),
+        "cell": _cells(draw, n, width, height),
+        "offset": _column(draw, n, (2,), FLOATS),
+        "size": _column(draw, n, (2,), FLOATS),
+    }
+    for name, shape in (("depth", ()), ("dims3d", (3,)), ("yaw", ()), ("orientation", (8,))):
+        if n and draw(st.booleans()):
+            column = _column(draw, n, shape, FLOATS)
+            missing = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            missing[draw(st.integers(0, n - 1))] = False  # a column is None when no object has the field
+            column[np.array(missing)] = np.nan
+            table[name] = column
+        else:
+            table[name] = None
+    pose = draw(st.booleans())
+    table["joint_offsets"] = _column(draw, n, (2, 2), FLOATS) if pose else None
+    table["joint_mask"] = _column(draw, n, (2,), st.sampled_from([0.0, 1.0])) if pose else None
+    return table
 
 
 @st.composite
@@ -65,23 +94,36 @@ def detections(draw):
     return det
 
 
-@given(obj=object_targets(), annotation_id=st.integers())
+@given(objects=object_tables(), ids=st.lists(st.integers(), min_size=5, max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_object_target_roundtrip(obj, annotation_id):
-    written = {"annotation_id": annotation_id, **to_json(obj)}
-    back = object_from_json(_json_trip(written), "objects[0]")
-    assert to_json(back) == to_json(obj)
-    for name in ("orientation", "joint_offsets", "joint_mask"):
-        want, got = getattr(obj, name), getattr(back, name)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.dtype == np.float64 and got.shape == want.shape
+def test_object_target_roundtrip(objects, ids):
+    written = _json_trip(tables_to_json(_targets_of(objects), ids))
+    assert [o["annotation_id"] for o in written["objects"]] == ids[: len(objects["cell"])]
+    assert_same_table(tables_from_json(written, CONFIG, "m")["objects"], objects)
 
 
-@given(jc=st.builds(JointCell, st.integers(0, 30), st.tuples(INTS, INTS), _floats(2)))
+@st.composite
+def joint_tables(draw):
+    m = draw(st.integers(0, 6))
+    return {
+        "joint": _column(draw, m, (), st.integers(0, 1), np.intp),
+        "cell": _cells(draw, m),
+        "offset": _column(draw, m, (2,), FLOATS),
+    }
+
+
+@given(joint_cells=joint_tables(), objects=object_tables(width=2, height=1))
 @settings(max_examples=100, deadline=None)
-def test_joint_cell_roundtrip(jc):
-    assert joint_cell_from_json(_json_trip(to_json(jc)), "joint_cells[0]") == jc
+def test_joint_cell_roundtrip(joint_cells, objects):
+    n = len(objects["cell"])
+    objects["joint_offsets"], objects["joint_mask"] = np.zeros((n, 2, 2)), np.zeros((n, 2))
+    # every pair of two objects that share a cell and class is a collision, by second, then first
+    cell, category = objects["cell"], objects["category"]
+    pairs = [(i, j) for j in range(len(cell)) for i in range(j) if category[i] == category[j] and (cell[i] == cell[j]).all()]
+    collisions = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    back = tables_from_json(_json_trip(tables_to_json(_targets_of(objects, joint_cells, collisions), [0] * 5)), CONFIG, "m")
+    assert_same_table(back["joint_cells"], joint_cells)
+    assert back["collisions"].dtype == np.intp and back["collisions"].tolist() == collisions.tolist()
 
 
 @given(det=detections(), image_id=st.integers())
@@ -114,19 +156,6 @@ def _targets(seed, pose, units):
     return (encode_pose if pose else encode_detection)(anns, cfg), [a.id for a in anns]
 
 
-def _same_targets(got, want):
-    assert got.config == want.config
-    for name in ("heatmap", "size", "offset", "center_mask", "joint_heatmap", "joint_local_offset"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype and np.array_equal(a.data, b.data), name
-    assert [to_json(o) for o in got.objects] == [to_json(o) for o in want.objects]
-    assert got.collisions == want.collisions
-    assert got.clamped_centers == want.clamped_centers
-    assert got.joint_cells == want.joint_cells
-
-
 @given(seed=st.integers(0, 2**32), pose=st.booleans(), units=st.sampled_from(["pixels", "cells"]))
 @settings(max_examples=25, deadline=None)
 def test_manifest_roundtrip(tmp_path_factory, seed, pose, units):
@@ -139,8 +168,8 @@ def test_manifest_roundtrip(tmp_path_factory, seed, pose, units):
         "images": [write_targets(ts, out / "image_7", 7, ids)],
     }
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    _same_targets(read_targets(out / "manifest.json", 7), ts)
-    _same_targets(read_targets(out / "manifest.json", None), ts)
+    assert_same_targets(read_targets(out / "manifest.json", 7), ts)
+    assert_same_targets(read_targets(out / "manifest.json", None), ts)
 
 
 @pytest.mark.parametrize(
@@ -154,12 +183,47 @@ def test_manifest_roundtrip(tmp_path_factory, seed, pose, units):
         ({"joint_offsets": [[0.0, 1.0]]}, "missing field 'joint_mask'"),
         ({"joint_offsets": [[0.0, 1.0]], "joint_mask": [1.0, 0.0]}, "joint_mask must be a list of 1 numbers"),
         ({"joint_offsets": [[0.0]], "joint_mask": [1.0]}, "joint_offsets row must be a list of 2 numbers"),
+        ({"index": 1}, "index 1 is not the record's position 0"),
+        ({"category": 3}, "category 3 out of range \\[0, 3\\)"),
+        ({"cell": [64, 2]}, "cell \\[64, 2\\] out of range \\[0, 64\\) x \\[0, 48\\)"),
+        ({"cell": [1, 2**70]}, "cell \\[1, 1180591620717411303424\\] out of range"),
+        ({"joint_offsets": [[0.0, 1.0], [0.0, 1.0]], "joint_mask": [1.0, 0.0]}, "joint_offsets must be a list of 1 rows"),
     ],
 )
 def test_object_reader_rejects(patch, message):
     raw = {"index": 0, "category": 0, "cell": [1, 2], "offset": [0.5, 0.5], "size": [3.0, 4.0], **patch}
-    with pytest.raises(InputError, match=f"^objects\\[0\\]: {message}"):
-        object_from_json(raw, "objects[0]")
+    with pytest.raises(InputError, match=f"^m objects\\[0\\]: {message}"):
+        tables_from_json({"objects": [raw]}, replace(CONFIG, num_joints=1), "m")
+
+
+def test_object_reader_fills_nan_rows_and_needs_pose_fields_in_every_record():
+    rows = [{"index": 0, "category": 0, "cell": [1, 2], "offset": [0.5, 0.5], "size": [3.0, 4.0], "depth": 2.0},
+            {"index": 1, "category": 1, "cell": [1, 2], "offset": [0.5, 0.5], "size": [3.0, 4.0]}]
+    objects = tables_from_json({"objects": rows}, CONFIG, "m")["objects"]
+    assert objects["depth"].tolist()[0] == 2.0 and math.isnan(objects["depth"][1])
+    assert objects["yaw"] is None and objects["joint_mask"] is None
+    rows[0].update(joint_offsets=[[0.0, 0.0], [1.0, 1.0]], joint_mask=[1.0, 1.0])
+    with pytest.raises(InputError, match="^m objects\\[1\\]: missing field 'joint_offsets'"):
+        tables_from_json({"objects": rows}, CONFIG, "m")
+
+
+@pytest.mark.parametrize(
+    "key, record, message",
+    [
+        ("collisions", {"cell": [1, 2], "category": 0, "first": 0}, "missing field 'second'"),
+        ("collisions", {"cell": [1, 2], "category": 0, "first": 0, "second": 2}, "second 2 out of range \\[0, 2\\)"),
+        ("collisions", {"cell": [1, 48], "category": 0, "first": 0, "second": 1}, "cell \\[1, 48\\] out of range"),
+        ("collisions", {"cell": [1, 2], "category": -1, "first": 0, "second": 1}, "category -1 out of range"),
+        ("joint_cells", {"joint": 2, "cell": [1, 2], "offset": [0.5, 0.5]}, "joint 2 out of range \\[0, 2\\)"),
+        ("joint_cells", {"joint": 0, "cell": [-1, 2], "offset": [0.5, 0.5]}, "cell \\[-1, 2\\] out of range"),
+        ("joint_cells", {"joint": 0, "cell": [1, 2], "offset": [0.5, math.inf]}, "offset entry must be finite"),
+    ],
+)
+def test_collision_and_joint_cell_readers_reject(key, record, message):
+    objects = [{"index": k, "category": 0, "cell": [1, 2], "offset": [0.5, 0.5], "size": [3.0, 4.0],
+                "joint_offsets": [[0.0, 0.0], [0.0, 0.0]], "joint_mask": [0.0, 0.0]} for k in (0, 1)]
+    with pytest.raises(InputError, match=f"^m {key}\\[0\\]: {message}"):
+        tables_from_json({"objects": objects, key: [record]}, CONFIG, "m")
 
 
 @pytest.mark.parametrize(
@@ -196,8 +260,15 @@ def test_detection_reader_accepts_zero_area_box():
 def test_docs_manifest_example_reads_back():
     text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
     start = text.index("```json", text.index("## Target manifest")) + len("```json")
-    entry = json.loads(text[start : text.index("```", start)])["images"][0]
-    obj = object_from_json(entry["objects"][0], "objects[0]")
-    assert obj.orientation.tolist() == pytest.approx(encode_orientation(obj.yaw).tolist(), abs=1e-4)
-    assert obj.joint_offsets.shape == (2, 2)
-    assert joint_cell_from_json(entry["joint_cells"][0], "joint_cells[0]") == JointCell(0, (38, 26), (0.5, 0.0))
+    doc = json.loads(text[start : text.index("```", start)])
+    entry, config = doc["images"][0], doc["config"]
+    cfg = EncoderConfig(entry["input_w"], entry["input_h"], config["classes"], config["stride"], config["joints"])
+    tables = tables_from_json(entry, cfg, "docs")
+    objects = tables["objects"]
+    assert objects["orientation"][0].tolist() == pytest.approx(encode_orientation(objects["yaw"][0]).tolist(), abs=1e-4)
+    assert np.isnan(objects["yaw"][1]) and objects["joint_offsets"].shape == (2, 2, 2)
+    assert tables["collisions"].tolist() == [[0, 1]]
+    assert tables["joint_cells"]["cell"].tolist() == [[38, 26]]
+    # the example is what the writer writes for these tables
+    written = tables_to_json(TargetSet(cfg, None, None, None, None, **tables), [1, 2])
+    assert _json_trip(written) == {key: entry[key] for key in written}

@@ -15,13 +15,21 @@ from cpt import (
     encode_detection,
     encode_orientation,
     encode_pose,
+    gaussian_sigma,
     render_gaussian,
     targets,
 )
 from cpt.decode import decode_depth
 from cpt.grid import MIN_RADIUS, _splat
 
-from oracles import reference_splat, reference_splats
+from oracles import (
+    assert_same_targets,
+    reference_encode_detection,
+    reference_encode_pose,
+    reference_gaussian_sigma,
+    reference_splat,
+    reference_splats,
+)
 
 
 def cfg128(**kw):
@@ -60,20 +68,18 @@ class TestObjectAnnotation:
 class TestEncodeDetection:
     def test_center_on_grid_point(self):
         ts = encode_detection([ObjectAnnotation(bbox=(8, 8, 24, 24), category=0)], cfg128())
-        obj = ts.objects[0]
-        assert obj.cell == (4, 4)
-        assert obj.offset == (0.0, 0.0)
-        assert obj.size == (16.0, 16.0)  # default units are raw pixels
+        assert ts.objects["cell"].tolist() == [[4, 4]]
+        assert ts.objects["offset"].tolist() == [[0.0, 0.0]]
+        assert ts.objects["size"].tolist() == [[16.0, 16.0]]  # default units are raw pixels
 
     def test_cells_units(self):
         ts = encode_detection([ObjectAnnotation(bbox=(8, 8, 24, 24), category=0)], cfg128(size_units="cells"))
-        assert ts.objects[0].size == (4.0, 4.0)
+        assert ts.objects["size"].tolist() == [[4.0, 4.0]]
 
     def test_subcell_offset(self):
         ts = encode_detection([ObjectAnnotation(bbox=(10, 10, 20, 20), category=0)], cfg128())
-        obj = ts.objects[0]
-        assert obj.cell == (3, 3)
-        assert obj.offset == (0.75, 0.75)
+        assert ts.objects["cell"].tolist() == [[3, 3]]
+        assert ts.objects["offset"].tolist() == [[0.75, 0.75]]
 
     def test_heatmap_is_one_at_center_cell(self):
         anns = [
@@ -81,8 +87,8 @@ class TestEncodeDetection:
             ObjectAnnotation(bbox=(40, 50, 90, 110), category=2),
         ]
         ts = encode_detection(anns, cfg128())
-        for obj in ts.objects:
-            assert ts.heatmap.data[obj.category, obj.cell[1], obj.cell[0]] == 1.0
+        cx, cy = ts.objects["cell"].T
+        assert ts.heatmap.data[ts.objects["category"], cy, cx].tolist() == [1.0, 1.0]
 
     def test_offsets_in_unit_interval(self):
         rng = np.random.Generator(np.random.Philox(key=42))
@@ -92,9 +98,8 @@ class TestEncodeDetection:
             hw, hh = rng.uniform(1, 5, size=2)
             anns.append(ObjectAnnotation(bbox=(cx - hw, cy - hh, cx + hw, cy + hh), category=int(rng.integers(3))))
         ts = encode_detection(anns, cfg128())
-        for obj in ts.objects:
-            assert 0.0 <= obj.offset[0] < 1.0
-            assert 0.0 <= obj.offset[1] < 1.0
+        assert ts.objects["offset"].shape == (40, 2)
+        assert np.all((0.0 <= ts.objects["offset"]) & (ts.objects["offset"] < 1.0))
 
     def test_same_class_collision_recorded(self):
         anns = [
@@ -103,9 +108,8 @@ class TestEncodeDetection:
         ]
         ts = encode_detection(anns, cfg128())
         assert ts.collision_count == 1
-        c = ts.collisions[0]
-        assert (c.first, c.second) == (0, 1)
-        assert c.cell == (3, 3)
+        assert ts.collisions.tolist() == [[0, 1]]
+        assert ts.objects["cell"].tolist() == [[3, 3], [3, 3]]
         # later object owns the shared size/offset cell
         assert ts.size.data[0, 3, 3] == 6.0
 
@@ -118,7 +122,9 @@ class TestEncodeDetection:
 
     def test_triple_collision_counts_pairs(self):
         anns = [ObjectAnnotation(bbox=(10, 10, 20, 20), category=0) for _ in range(3)]
-        assert encode_detection(anns, cfg128()).collision_count == 3
+        ts = encode_detection(anns, cfg128())
+        assert ts.collision_count == 3
+        assert ts.collisions.tolist() == [[0, 1], [0, 2], [1, 2]]  # each later object against every earlier one
 
     def test_heatmap_takes_elementwise_max(self):
         anns = [
@@ -131,7 +137,7 @@ class TestEncodeDetection:
 
     def test_border_degenerate_center_clamped(self):
         ts = encode_detection([ObjectAnnotation(bbox=(128, 128, 128, 128), category=0)], cfg128())
-        assert ts.objects[0].cell == (31, 31)
+        assert ts.objects["cell"].tolist() == [[31, 31]]
         assert ts.clamped_centers == 1
 
     def test_category_out_of_range(self):
@@ -140,11 +146,14 @@ class TestEncodeDetection:
 
     def test_3d_fields_carried(self):
         ann = ObjectAnnotation(bbox=(8, 8, 24, 24), category=0, depth=12.5, dims3d=(1.5, 1.6, 3.9), yaw=0.4)
-        ts = encode_detection([ann], cfg128())
-        obj = ts.objects[0]
-        assert obj.depth == 12.5
-        assert obj.dims3d == (1.5, 1.6, 3.9)
-        assert obj.orientation is not None and obj.orientation.shape == (8,)
+        ts = encode_detection([ann, ObjectAnnotation(bbox=(8, 8, 24, 24), category=0, depth=3.0)], cfg128())
+        assert ts.objects["depth"].tolist() == [12.5, 3.0]
+        assert ts.objects["dims3d"][0].tolist() == [1.5, 1.6, 3.9]
+        assert ts.objects["orientation"][0].tolist() == encode_orientation(0.4).tolist()
+        # NaN rows mark the objects without a field, and a field no object has is None
+        assert np.isnan(ts.objects["dims3d"][1]).all() and np.isnan(ts.objects["orientation"][1]).all()
+        assert encode_detection([ann], cfg128()).objects["joint_offsets"] is None
+        assert encode_detection([ObjectAnnotation(bbox=(8, 8, 24, 24), category=0)], cfg128()).objects["yaw"] is None
 
     def test_center_mask_marks_cells(self):
         anns = [
@@ -153,6 +162,49 @@ class TestEncodeDetection:
         ]
         ts = encode_detection(anns, cfg128())
         assert ts.center_mask.data.sum() == 2.0
+
+
+class TestNonFiniteAnnotations:
+    """Non-finite annotation values are input errors that name the annotation; the first bad one wins."""
+
+    def encode(self, *anns, pose=False):
+        return (encode_pose if pose else encode_detection)(list(anns), EncoderConfig(64, 64, 2, num_joints=1))
+
+    @pytest.mark.parametrize(
+        "bbox",
+        [(0, 0, math.inf, 10), (0, math.nan, 10, 10), (-math.inf, 0, 10, 10), (0, 0, 10, math.nan),
+         (-1.7e308, 0, 1.7e308, 10)],  # finite, but its width is not
+    )
+    def test_bbox(self, bbox):
+        with pytest.raises(InputError, match=r"^annotation 1: bbox \(.*\) is not finite, or its size is not$"):
+            self.encode(ObjectAnnotation(bbox=(0, 0, 4, 4), category=0), ObjectAnnotation(bbox=bbox, category=0))
+
+    def test_depth(self):
+        with pytest.raises(InputError, match="^annotation 0: depth inf is not finite$"):
+            self.encode(ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, depth=math.inf))
+
+    def test_dims3d(self):
+        with pytest.raises(InputError, match=r"^annotation 0: dims3d \(1.0, inf, 1.0\) is not finite$"):
+            self.encode(ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, dims3d=(1.0, math.inf, 1.0)))
+
+    @pytest.mark.parametrize("point", [(math.nan, 2.0, True), (2.0, math.inf, True), (-math.inf, 2.0, False)])
+    def test_keypoint(self, point):
+        ann = ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, keypoints=[point], id=7, image_id=3)
+        with pytest.raises(InputError, match=r"^image 3 annotation 7: keypoints \[.*\] are not finite$"):
+            self.encode(ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, keypoints=[(1.0, 1.0, True)]), ann, pose=True)
+
+    def test_first_bad_annotation_wins(self):
+        anns = [
+            ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, depth=math.inf),
+            ObjectAnnotation(bbox=(0, 0, 4, 4), category=5),
+        ]
+        with pytest.raises(InputError, match="^annotation 0: depth inf"):
+            self.encode(*anns)
+        with pytest.raises(InputError, match="^annotation 0: category 5 out of range"):
+            self.encode(anns[1], anns[0])
+        # within one annotation the checks run in order: category, then the box
+        with pytest.raises(InputError, match="^annotation 0: category 5 out of range"):
+            self.encode(ObjectAnnotation(bbox=(0, 0, math.nan, 4), category=5))
 
 
 class TestEncodeOrientation:
@@ -202,13 +254,12 @@ class TestEncodePose:
 
     def test_joint_at_center(self):
         ts, _ = self.kp((16.0, 16.0, True))
-        obj = ts.objects[0]
-        assert tuple(obj.joint_offsets[0]) == (0.0, 0.0)
-        assert obj.joint_mask[0] == 1.0
+        assert ts.objects["joint_offsets"].tolist() == [[[0.0, 0.0]]]
+        assert ts.objects["joint_mask"].tolist() == [[1.0]]
 
     def test_invisible_joint_masked(self):
         ts, _ = self.kp((16.0, 16.0, False))
-        assert ts.objects[0].joint_mask[0] == 0.0
+        assert ts.objects["joint_mask"].tolist() == [[0.0]]
         assert np.all(ts.joint_heatmap.data == 0.0)
 
     def test_offset_arithmetic(self):
@@ -216,8 +267,8 @@ class TestEncodePose:
         cfg = cfg128(num_joints=1)
         ann = ObjectAnnotation(bbox=(10, 10, 20, 20), category=0, keypoints=[(20.0, 12.0, True)])
         ts = encode_pose([ann], cfg)
-        assert ts.objects[0].cell == (3, 3)
-        assert tuple(ts.objects[0].joint_offsets[0]) == (2.0, 0.0)
+        assert ts.objects["cell"].tolist() == [[3, 3]]
+        assert ts.objects["joint_offsets"].tolist() == [[[2.0, 0.0]]]
 
     def test_joint_heatmap_and_local_offset(self):
         ts, _ = self.kp((18.0, 13.0, True))
@@ -225,8 +276,9 @@ class TestEncodePose:
         assert ts.joint_heatmap.data[0, jcy, jcx] == 1.0
         assert ts.joint_local_offset.data[0, jcy, jcx] == pytest.approx(0.5)
         assert ts.joint_local_offset.data[1, jcy, jcx] == pytest.approx(0.25)
-        assert len(ts.joint_cells) == 1
-        assert ts.joint_cells[0].joint == 0
+        assert ts.joint_cells["joint"].tolist() == [0]
+        assert ts.joint_cells["cell"].tolist() == [[jcx, jcy]]
+        assert ts.joint_cells["offset"].tolist() == [[0.5, 0.25]]
 
     def test_joint_count_mismatch(self):
         ann = ObjectAnnotation(bbox=(0, 0, 8, 8), category=0, keypoints=[(1.0, 1.0, True)])
@@ -240,7 +292,9 @@ class TestEncodePose:
 
     def test_out_of_grid_joint_masked(self):
         ts, _ = self.kp((200.0, 16.0, True))
-        assert ts.objects[0].joint_mask[0] == 0.0
+        assert ts.objects["joint_mask"].tolist() == [[0.0]]
+        assert ts.objects["joint_offsets"].tolist() == [[[0.0, 0.0]]]
+        assert len(ts.joint_cells["joint"]) == 0
 
 
 def splat_scene(seed, size=64, joints=3):
@@ -271,7 +325,7 @@ def splat_scene(seed, size=64, joints=3):
 def test_heatmaps_equal_copy_per_splat_reference(monkeypatch, seed):
     anns, cfg = splat_scene(seed)
     det, pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
-    assert pose.clamped_centers >= 1 and pose.collisions
+    assert pose.clamped_centers >= 1 and pose.collision_count
     monkeypatch.setattr(targets, "_splat", reference_splats)
     ref_det, ref_pose = encode_detection(anns, cfg), encode_pose(anns, cfg)
     assert det.heatmap.data.tobytes() == ref_det.heatmap.data.tobytes()
@@ -286,7 +340,7 @@ def test_encode_pose_splats_joints_in_one_pass(monkeypatch):
     calls = []
     monkeypatch.setattr(targets, "_splat", lambda data, splats: calls.append(len(splats)) or _splat(data, splats))
     ts = encode_pose(anns, cfg)
-    assert calls == [len(anns), len(ts.joint_cells)] and len(ts.joint_cells) > 0
+    assert calls == [len(anns), len(ts.joint_cells["joint"])] and len(ts.joint_cells["joint"]) > 0
 
 
 @st.composite
@@ -335,5 +389,77 @@ class TestBatchedSplat:
         want = DenseGrid.zeros(cfg.grid_w, cfg.grid_h, 2)
         for ann in anns:
             cx, cy = targets._center_cell(ann, cfg.output_stride, cfg.grid_w, cfg.grid_h)[:2]
-            want = reference_splat(want, (float(cx), float(cy)), ann.category, targets._object_sigma(ann, cfg))
+            sigma = reference_gaussian_sigma(max(ann.width / 4, 1e-12), max(ann.height / 4, 1e-12), cfg.min_overlap)
+            want = reference_splat(want, (float(cx), float(cy)), ann.category, sigma)
         assert got.tobytes() == want.data.tobytes()
+
+
+@st.composite
+def oracle_scenes(draw):
+    """Annotations and a config for the encoder-vs-oracle check.
+
+    Boxes are drawn on small grids at strides 1, 2 and 4: zero-width and
+    zero-height ones, ones whose center lies on the right or bottom edge or
+    left of or above the image (clamped centers), and copies of earlier
+    boxes in the same class (three or more objects on one cell) and in
+    another class. 3D fields are on some objects only; joints are visible
+    or not, on the grid or off it.
+    """
+    stride = draw(st.sampled_from([1, 2, 4]))
+    gw, gh = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    w, h = gw * stride, gh * stride
+    cfg = EncoderConfig(
+        w, h, draw(st.integers(1, 3)), stride, draw(st.integers(1, 3)),
+        min_overlap=draw(st.sampled_from([0.7]) | st.floats(0.05, 0.95)),
+        size_units=draw(st.sampled_from(["pixels", "cells"])),
+    )
+
+    def side(extent):
+        kind = draw(st.sampled_from(["any", "zero", "edge", "before"]))
+        if kind == "edge":  # a zero-size box on the far edge: its center cell is one past the grid
+            return float(extent), float(extent)
+        if kind == "before":  # a box reaching into the image from before it, center outside
+            return draw(st.floats(-3.0 * extent, -1.0)), draw(st.floats(0.0, 0.5))
+        lo = draw(st.floats(-float(extent), float(extent)))
+        size = 0.0 if kind == "zero" else draw(st.floats(0.0, 2.0 * extent))
+        return lo, max(lo + size, 0.0)
+
+    def keypoints():
+        point = st.tuples(st.floats(-w, 2.0 * w), st.floats(-h, 2.0 * h), st.booleans())
+        return draw(st.lists(point, min_size=cfg.num_joints, max_size=cfg.num_joints))
+
+    anns = []
+    for _ in range(draw(st.integers(0, 10))):
+        if anns and draw(st.booleans()):
+            bbox = draw(st.sampled_from(anns)).bbox
+            category = draw(st.sampled_from([anns[0].category, draw(st.integers(0, cfg.num_classes - 1))]))
+        else:
+            (x1, x2), (y1, y2) = side(w), side(h)
+            bbox, category = (x1, y1, x2, y2), draw(st.integers(0, cfg.num_classes - 1))
+        anns.append(ObjectAnnotation(
+            bbox=bbox, category=category, keypoints=keypoints(),
+            depth=draw(st.none() | st.floats(0.1, 100.0)),
+            dims3d=draw(st.none() | st.tuples(*[st.floats(0.1, 10.0)] * 3)),
+            yaw=draw(st.none() | st.floats(-math.pi, math.pi, exclude_min=True)),
+        ))
+    return anns, cfg
+
+
+@given(scene=oracle_scenes())
+@settings(max_examples=400, deadline=None)
+def test_array_encoders_equal_per_object_loop(scene):
+    anns, cfg = scene
+    assert_same_targets(encode_detection(anns, cfg), reference_encode_detection(anns, cfg))
+    assert_same_targets(encode_pose(anns, cfg), reference_encode_pose(anns, cfg))
+
+
+@given(
+    boxes=st.lists(st.tuples(st.floats(1e-12, 1e6) | st.floats(1e-300), st.floats(1e-12, 1e6) | st.floats(1e-300)),
+                   max_size=20),
+    overlap=st.floats(0.01, 0.99),
+)
+@settings(max_examples=200, deadline=None)
+def test_gaussian_sigma_over_arrays_equals_scalar_closed_form(boxes, overlap):
+    w, h = np.array(boxes, dtype=np.float64).reshape(-1, 2).T
+    want = np.array([reference_gaussian_sigma(a, b, overlap) for a, b in boxes], dtype=np.float64)
+    assert gaussian_sigma(w, h, overlap).tobytes() == want.tobytes()
