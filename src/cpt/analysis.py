@@ -29,7 +29,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import InputError
 from .geometry import AnchorConfig, _iou, anchor_grid, anchor_positions, anchor_shapes, iou_matrix, resize_shorter
-from .targets import ObjectAnnotation, _center_cell, _grid_side
+from .targets import ObjectAnnotation, _center_cell, _center_cells, _check, _collisions, _floats, _grid_side
 
 # COCO size convention, on box area in original-image pixels
 SMALL_MAX_AREA = 32.0**2
@@ -97,40 +97,48 @@ def _groups(ds: Dataset) -> list[tuple[int, int, list[ObjectAnnotation]]]:
     """Annotations grouped by (image id, original category id), deterministically ordered."""
     index_to_id = {c.index: c.id for c in ds.categories}
     grouped: dict[tuple[int, int], list[ObjectAnnotation]] = {}
-    for ann in ds.annotations:
-        grouped.setdefault((ann.image_id, index_to_id[ann.category]), []).append(ann)
+    for image_id, anns in ds.annotations_by_image().items():
+        for ann in anns:
+            grouped.setdefault((image_id, index_to_id[ann.category]), []).append(ann)
     return [(img, cat, grouped[(img, cat)]) for img, cat in sorted(grouped)]
+
+
+def _boxes(anns: list[ObjectAnnotation]) -> np.ndarray:
+    """The (x1, y1, x2, y2) rows of anns in float64; a non-finite box is an InputError that names its annotation."""
+    box = _floats([a.bbox for a in anns]).reshape(-1, 4)
+    if not np.isfinite(box).all():
+        _check(anns, [(~np.isfinite(box).all(axis=1), lambda i: f"bbox {anns[i].bbox} is not finite")])
+    return box
 
 
 def count_center_collisions(ds: Dataset, stride: int = 4, oracle: bool = False) -> CollisionReport:
     """Pairs of same-class objects in one image that the encoder puts on one grid cell.
 
-    Cells follow the encoder's rule (targets._center_cell) on the grid that
-    EncoderConfig.for_image gives each image. The fast path hashes cells; the
-    oracle path compares every pair directly. Both produce identical pair
-    listings.
+    Cells follow the encoder's rule (targets._center_cells) on the grid that EncoderConfig.for_image
+    gives each image, and the fast path pairs them as the encoder does (targets._collisions). The oracle
+    compares every pair of cells from the rule's scalar form (targets._center_cell). Both produce
+    identical pair listings.
     """
     if stride < 1:
         raise InputError(f"stride must be >= 1, got {stride}")
 
     grids = {m.id: (_grid_side(m.width, stride), _grid_side(m.height, stride)) for m in ds.images}
     pairs: list[CollisionPair] = []
-    for image_id, category_id, anns in _groups(ds):
-        gw, gh = grids[image_id]
-        cells = [_center_cell(a, stride, gw, gh)[:2] for a in anns]
-        if oracle:
+    if oracle:
+        for image_id, category_id, anns in _groups(ds):
+            _boxes(anns)  # a non-finite box is an InputError here, not a ValueError from the scalar floor
+            cells = [_center_cell(a, stride, *grids[image_id])[:2] for a in anns]
             for i in range(len(anns)):
                 for j in range(i + 1, len(anns)):
                     if cells[i] == cells[j]:
                         pairs.append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
-        else:
-            by_cell: dict[tuple[int, int], list[int]] = {}
-            for a, cell in zip(anns, cells):
-                by_cell.setdefault(cell, []).append(a.id)
-            for ids in by_cell.values():
-                for i in range(len(ids)):
-                    for j in range(i + 1, len(ids)):
-                        pairs.append(CollisionPair(image_id, category_id, ids[i], ids[j]))
+    else:
+        index_to_id = {c.index: c.id for c in ds.categories}
+        for image_id, anns in ds.annotations_by_image().items():
+            cell = _center_cells(_boxes(anns), stride, *grids[image_id])[0]
+            category = [index_to_id[a.category] for a in anns]
+            pairs += [CollisionPair(image_id, category[i], anns[i].id, anns[j].id)
+                      for i, j in _collisions(zip(category, *cell.T.tolist())).tolist()]
     pairs.sort(key=lambda p: (p.image_id, p.category_id, p.first, p.second))
     return CollisionReport(
         total_objects=len(ds.annotations),
@@ -151,8 +159,9 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
 
     merged: dict[float, list[CollisionPair]] = {t: [] for t in thresholds}
     for image_id, category_id, anns in _groups(ds):
+        boxes = _boxes(anns)
         if oracle:
-            ious = iou_matrix([a.bbox for a in anns], [a.bbox for a in anns]).tolist()
+            ious = iou_matrix(boxes, boxes).tolist()
             for i in range(len(anns)):
                 for j in range(i + 1, len(anns)):
                     v = ious[i][j]
@@ -160,7 +169,6 @@ def count_iou_collisions(ds: Dataset, thresholds=(0.5, 0.7), oracle: bool = Fals
                         if v > t:
                             merged[t].append(CollisionPair(image_id, category_id, anns[i].id, anns[j].id))
         elif len(anns) > 1:
-            boxes = np.array([a.bbox for a in anns], dtype=np.float64)
             k = np.arange(len(anns))
             first, second = np.nonzero(k[:, None] < k)  # the np.triu_indices pairs, without its fixed cost
             ious = iou_matrix(boxes, boxes)[first, second]
@@ -314,7 +322,7 @@ def count_forced_assignments(
             )
         if max(w, h) >= 2.0**52:  # anchor centers S/2 + S·i are exact below 2**52
             raise InputError(f"image {img.id} resizes to {w:g}x{h:g}: each side must be < 2**52 for exact anchor centers")
-        boxes = np.array([a.bbox for a in anns], dtype=np.float64) * scale
+        boxes = _boxes(anns) * scale
         max_ious = max_anchor_ious(boxes, w, h, cfg)
         forced.extend(a for a, v in zip(anns, max_ious) if v < iou_thresh)
     forced_ids = sorted(a.id for a in forced)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError
-from .targets import ObjectAnnotation, principal_angle
+from .targets import ObjectAnnotation, _named, principal_angle
 
 
 @dataclass
@@ -44,9 +44,13 @@ class Dataset:
         return len(self.categories)
 
     def annotations_by_image(self) -> dict[int, list[ObjectAnnotation]]:
+        """Each image's annotations in dataset order; one whose image_id no image has is an InputError."""
         out: dict[int, list[ObjectAnnotation]] = {img.id: [] for img in self.images}
-        for ann in self.annotations:
-            out[ann.image_id].append(ann)
+        for i, ann in enumerate(self.annotations):
+            try:
+                out[ann.image_id].append(ann)
+            except KeyError:
+                raise InputError(f"{_named(i, ann)}: the dataset has no image {ann.image_id}") from None
         return out
 
 

@@ -209,7 +209,7 @@ def _grid_side(side: float, stride: int) -> int:
 
 
 def _center_cell(ann: ObjectAnnotation, r: int, gw: int, gh: int) -> tuple[int, int, float, float, bool]:
-    """The one center-cell rule: the floored strided center, clamped into the gw x gh grid, and its offset."""
+    """_center_cells for one annotation in scalar arithmetic: the --oracle collision counter's independent form."""
     px, py = ann.center
     cx, cy = int(math.floor(px / r)), int(math.floor(py / r))
     clamped = False
@@ -218,6 +218,14 @@ def _center_cell(ann: ObjectAnnotation, r: int, gw: int, gh: int) -> tuple[int, 
         cy = min(max(cy, 0), gh - 1)
         clamped = True
     return cx, cy, px / r - cx, py / r - cy, clamped
+
+
+def _center_cells(box: np.ndarray, r: int, gw: int, gh: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one center-cell rule: floored strided box centers, clamped into the grid: (x, y) cells, offsets, clamped."""
+    center = (box[:, :2] + box[:, 2:]) / 2.0 / r
+    floor = _floor(center)
+    cell = np.clip(floor, 0, (gw - 1, gh - 1))
+    return cell.astype(np.intp), center - cell, (floor != cell).any(axis=1)
 
 
 def _named(i: int, ann: ObjectAnnotation) -> str:
@@ -238,6 +246,21 @@ def _floor(v: np.ndarray) -> np.ndarray:
     return np.floor(v) + 0.0
 
 
+def _floats(rows) -> np.ndarray:
+    """rows as a float64 array, None as NaN and an int beyond the float range as the inf of its sign, for the checks."""
+    try:
+        return np.array(rows, np.float64)
+    except OverflowError:
+        return np.frompyfunc(_float, 1, 1)(np.array(rows, object)).astype(np.float64)
+
+
+def _float(value) -> float:
+    try:
+        return np.float64(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def _write_at_cells(cell: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> None:
     """data[:, y, x] = row for each (data, rows) pair, (x, y) cell and row: of rows on one cell, the last stays."""
     flat = cell[:, 1] * pairs[0][0].shape[2] + cell[:, 0]
@@ -246,18 +269,16 @@ def _write_at_cells(cell: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> 
         data[:, cell[last, 1], cell[last, 0]] = rows[last].T
 
 
-def _collisions(key: np.ndarray) -> np.ndarray:
-    """(first, second) rows of the objects with equal keys: each later one against every earlier one, by second."""
-    order = np.argsort(key, kind="stable")  # each key's objects in row order
-    repeat = key[order][1:] == key[order][:-1]
-    if not repeat.any():
-        return np.empty((0, 2), np.intp)
-    start = np.flatnonzero(np.append(True, ~repeat))
-    count = np.append(start[1:], len(key)) - start
-    shared = count > 1  # the colliding cells, each looped over once
-    pairs = [order[s : s + c][np.column_stack(np.triu_indices(c, 1))] for s, c in zip(start[shared], count[shared])]
-    pairs = np.concatenate(pairs)
-    return pairs[np.lexsort(pairs.T)]
+def _collisions(keys) -> np.ndarray:
+    """(first, second) rows of equal hashable keys: each later row against every earlier one with its key, by second."""
+    earlier: dict = {}
+    pairs = []
+    for second, key in enumerate(keys):
+        rows = earlier.setdefault(key, [])
+        if rows:  # most keys are unique: no list to build
+            pairs += [(first, second) for first in rows]
+        rows.append(second)
+    return np.array(pairs, np.intp).reshape(-1, 2)
 
 
 def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> TargetSet:
@@ -273,8 +294,7 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
     gw, gh, r, n = cfg.grid_w, cfg.grid_h, cfg.output_stride, len(annotations)
     category = np.array([a.category for a in annotations]).reshape(n)
     # every float field, a None one as NaN: bbox, depth, dims3d and yaw
-    fields = np.array([(*a.bbox, a.depth, *(a.dims3d or (None,) * 3), a.yaw) for a in annotations], np.float64)
-    fields = fields.reshape(n, 9)
+    fields = _floats([(*a.bbox, a.depth, *(a.dims3d or (None,) * 3), a.yaw) for a in annotations]).reshape(n, 9)
     box, depth, dims3d, yaw = fields[:, :4], fields[:, 4], fields[:, 5:8], fields[:, 8]
     x1, y1, x2, y2 = box.T
     with np.errstate(over="ignore", invalid="ignore"):  # a size past the float range is inf, rejected below
@@ -290,21 +310,16 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
     ])
     category = category.astype(np.intp)
 
-    # the center cell rule of _center_cell: the floored strided center, clamped into the grid
-    gx, gy = (x1 + x2) / 2.0 / r, (y1 + y2) / 2.0 / r
-    fx, fy = _floor(gx), _floor(gy)
-    cx, cy = np.clip(fx, 0, gw - 1), np.clip(fy, 0, gh - 1)
+    cell, offset, clamped = _center_cells(box, r, gw, gh)
     if cfg.size_units == "cells":
         size = size / r
     orientation = np.full((n, 8), np.nan)
     for i in np.flatnonzero(~np.isnan(yaw)).tolist():
         orientation[i] = encode_orientation(float(yaw[i]))
-    cell = np.column_stack([cx, cy]).astype(np.intp).reshape(n, 2)
     optional = {"depth": depth, "dims3d": dims3d, "yaw": yaw, "orientation": orientation}
-    objects = dict(category=category, cell=cell, offset=np.column_stack([gx - cx, gy - cy]), size=size,
+    objects = dict(category=category, cell=cell, offset=offset, size=size,
                    **{name: None if np.isnan(col).all() else col for name, col in optional.items()},
                    joint_offsets=None, joint_mask=None)
-    ix, iy = cell.T
     ts = TargetSet(
         config=cfg,
         heatmap=DenseGrid.zeros(gw, gh, cfg.num_classes),
@@ -312,12 +327,12 @@ def encode_detection(annotations: list[ObjectAnnotation], cfg: EncoderConfig) ->
         offset=DenseGrid.zeros(gw, gh, 2),
         center_mask=DenseGrid.zeros(gw, gh, 1),
         objects=objects,
-        collisions=_collisions((category * gh + iy) * gw + ix),
-        clamped_centers=int(np.count_nonzero((fx != cx) | (fy != cy))),
+        collisions=_collisions(zip(category.tolist(), *cell.T.tolist())),
+        clamped_centers=int(np.count_nonzero(clamped)),
     )
     _write_at_cells(cell, (ts.size.data, objects["size"]), (ts.offset.data, objects["offset"]))
-    ts.center_mask.data[0, iy, ix] = 1.0
-    _splat(ts.heatmap.data, np.column_stack([category, cx, cy, _object_sigma(box, cfg)]))
+    ts.center_mask.data[0, cell[:, 1], cell[:, 0]] = 1.0
+    _splat(ts.heatmap.data, np.column_stack([category, cell, _object_sigma(box, cfg)]))
     return ts
 
 
@@ -331,9 +346,8 @@ def encode_pose(annotations: list[ObjectAnnotation], cfg: EncoderConfig) -> Targ
     gw, gh, r, k, n = cfg.grid_w, cfg.grid_h, cfg.output_stride, cfg.num_joints, len(annotations)
     count = np.array([-1 if a.keypoints is None else len(a.keypoints) for a in annotations]).reshape(n)
     # (x, y, visible) of every joint; the annotations that fail a check below get zeros
-    xyv = np.array(
-        [a.keypoints if c == k else [(0.0, 0.0, 0.0)] * k for a, c in zip(annotations, count.tolist())], np.float64
-    ).reshape(n, k, 3)
+    xyv = _floats([a.keypoints if c == k else [(0.0, 0.0, 0.0)] * k for a, c in zip(annotations, count.tolist())])
+    xyv = xyv.reshape(n, k, 3)
     _check(annotations, [
         (count < 0, lambda i: "keypoints required for pose encoding"),
         (count != k, lambda i: f"{count[i]} joints, config expects {k}"),

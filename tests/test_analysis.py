@@ -1,4 +1,5 @@
 """Annotation analyses: collision counters and forced anchor assignments."""
+import math
 import tracemalloc
 from unittest import mock
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpt import AnchorConfig, InputError, ObjectAnnotation, count_center_collisions, count_forced_assignments, count_iou_collisions
+from cpt import (
+    AnchorConfig, EncoderConfig, InputError, ObjectAnnotation, count_center_collisions, count_forced_assignments,
+    count_iou_collisions, encode_detection,
+)
 from cpt import analysis
-from cpt.analysis import _max_anchor_ious_fast, _max_anchor_ious_oracle, area_bucket
+from cpt.analysis import CollisionPair, _max_anchor_ious_fast, _max_anchor_ious_oracle, area_bucket
 from cpt.dataset import CategoryInfo, Dataset, ImageInfo
 from cpt.geometry import anchor_grid, anchor_positions, anchor_shapes, iou_matrix, resize_shorter
 
@@ -116,6 +120,86 @@ class TestCenterCollisions:
     def test_stride_validated(self):
         with pytest.raises(InputError):
             count_center_collisions(Dataset(), stride=0)
+
+
+@st.composite
+def center_scenes(draw):
+    """A dataset and stride for the center-collision counters and the encoder.
+
+    Its images have several sizes, stride multiples and not. Boxes are drawn
+    with centers on cell boundaries, at -0.0, or zero-width on an image's far
+    edge (clamped when the side is a stride multiple), and as copies of
+    earlier boxes of the image in the same class (three or more objects on one
+    cell) and in another class. Annotations of the images are interleaved.
+    """
+    stride = draw(st.sampled_from([1, 2, 4]))
+    num_classes = draw(st.integers(1, 3))
+    ds = Dataset(categories=[CategoryInfo(id=3 * c + 2, name=f"c{c}", index=c) for c in range(num_classes)])
+
+    def side(extent):
+        kind = draw(st.sampled_from(["any", "boundary", "edge", "-0.0"]))
+        if kind == "edge":
+            return float(extent), float(extent)
+        if kind == "-0.0":
+            return -0.0, -0.0
+        if kind == "boundary":  # (x1 + x2) / 2 is a multiple of the stride
+            center = stride * draw(st.integers(0, math.ceil(extent / stride)))
+            half = draw(st.integers(0, 2 * stride)) / 2
+            return center - half, center + half
+        lo = draw(st.integers(-2 * stride, 2 * extent)) / 2
+        return lo, max(lo + draw(st.integers(0, 4 * stride)) / 2, 0.0)
+
+    rows = []
+    for image_id in range(1, draw(st.integers(1, 4)) + 1):
+        w, h = draw(st.integers(1, 6 * stride)), draw(st.integers(1, 6 * stride))
+        ds.images.append(ImageInfo(id=image_id, width=w, height=h))
+        boxes = []
+        for _ in range(draw(st.integers(0, 8))):
+            if boxes and draw(st.booleans()):
+                bbox, category = draw(st.sampled_from(boxes))
+                category = draw(st.sampled_from([category, draw(st.integers(0, num_classes - 1))]))
+            else:
+                (x1, x2), (y1, y2) = side(w), side(h)
+                bbox, category = (x1, y1, x2, y2), draw(st.integers(0, num_classes - 1))
+            boxes.append((bbox, category))
+        rows += [(image_id, bbox, category) for bbox, category in boxes]
+    for ann_id, (image_id, bbox, category) in enumerate(draw(st.permutations(rows)), start=1):
+        ds.annotations.append(ObjectAnnotation(bbox=bbox, category=category, id=ann_id, image_id=image_id))
+    return ds, stride
+
+
+@given(scene=center_scenes())
+@settings(max_examples=400, deadline=None)
+def test_center_pairs_fast_equal_oracle_equal_encoder(scene):
+    ds, stride = scene
+    fast = count_center_collisions(ds, stride).center_pairs
+    assert fast == count_center_collisions(ds, stride, oracle=True).center_pairs
+    index_to_id = {c.index: c.id for c in ds.categories}
+    by_image = ds.annotations_by_image()
+    encoded = []
+    for m in ds.images:
+        anns = by_image[m.id]
+        cfg = EncoderConfig.for_image(m.width, m.height, ds.num_classes, output_stride=stride)
+        encoded += [CollisionPair(m.id, index_to_id[anns[i].category], anns[i].id, anns[j].id)
+                    for i, j in encode_detection(anns, cfg).collisions.tolist()]
+    assert fast == sorted(encoded, key=lambda p: (p.image_id, p.category_id, p.first, p.second))
+
+
+@pytest.mark.parametrize("count", [count_center_collisions, count_iou_collisions, count_forced_assignments])
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("bbox, image_id, error", [
+    ((0, math.nan, 8, 8), 1, r"bbox \(0, nan, 8, 8\) is not finite"),
+    ((0, 0, math.inf, 8), 1, r"bbox \(0, 0, inf, 8\) is not finite"),
+    ((-math.inf, 0, 8, 8), 1, r"bbox \(-inf, 0, 8, 8\) is not finite"),
+    ((0, 0, 10**400, 8), 1, r"bbox \(0, 0, 10+, 8\) is not finite"),
+    ((0, 0, 8, 8), 2, "the dataset has no image 2"),
+], ids=["nan", "inf", "-inf", "10**400", "no image"])
+def test_bad_annotation_named_by_every_counter(count, oracle, bbox, image_id, error):
+    """A code-built Dataset's bad annotation is an InputError naming it, not a raw error, a warning or a count."""
+    ds = build_dataset({1: [(0, 0, 2, 2, 0), (0, 0, 2, 2, 0)]})  # a center pair, an IoU pair, two forced
+    ds.annotations.append(ObjectAnnotation(bbox=bbox, category=0, id=9, image_id=image_id))
+    with pytest.raises(InputError, match=f"^image {image_id} annotation 9: {error}$"):
+        count(ds, oracle=oracle)
 
 
 class TestIoUCollisions:

@@ -193,6 +193,19 @@ class TestNonFiniteAnnotations:
         with pytest.raises(InputError, match=r"^image 3 annotation 7: keypoints \[.*\] are not finite$"):
             self.encode(ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, keypoints=[(1.0, 1.0, True)]), ann, pose=True)
 
+    @pytest.mark.parametrize("field, error", [
+        (dict(bbox=(0, 0, 10**400, 4)), r"bbox \(0, 0, 10+, 4\) is not finite, or its size is not"),
+        (dict(bbox=(-10**400, 0, 4, 4)), r"bbox \(-10+, 0, 4, 4\) is not finite, or its size is not"),
+        (dict(keypoints=[(2.0, -10**400, True)]), r"keypoints \[\(2.0, -10+, True\)\] are not finite"),
+        (dict(depth=10**400), "depth 10+ is not finite"),
+        (dict(dims3d=(1.0, 10**400, 1.0)), r"dims3d \(1.0, 10+, 1.0\) is not finite"),
+    ], ids=["bbox", "-bbox", "keypoint", "depth", "dims3d"])
+    def test_int_beyond_the_float_range(self, field, error):
+        good = ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, keypoints=[(1.0, 1.0, True)])
+        ann = ObjectAnnotation(**{"bbox": (0, 0, 4, 4), "category": 0, "keypoints": [(1.0, 1.0, True)], **field})
+        with pytest.raises(InputError, match=f"^annotation 1: {error}$"):
+            self.encode(good, ann, pose="keypoints" in field)
+
     def test_first_bad_annotation_wins(self):
         anns = [
             ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, depth=math.inf),
@@ -202,6 +215,15 @@ class TestNonFiniteAnnotations:
             self.encode(*anns)
         with pytest.raises(InputError, match="^annotation 0: category 5 out of range"):
             self.encode(anns[1], anns[0])
+        # an int beyond the float range is named like any other non-finite value, in annotation order
+        huge = [
+            ObjectAnnotation(bbox=(0, 0, 4, 4), category=0, depth=10**400),
+            ObjectAnnotation(bbox=(0, 0, 10**400, 4), category=0),
+        ]
+        with pytest.raises(InputError, match="^annotation 0: depth 1"):
+            self.encode(*huge)
+        with pytest.raises(InputError, match=r"^annotation 0: bbox \(0, 0, 1"):
+            self.encode(*huge[::-1])
         # within one annotation the checks run in order: category, then the box
         with pytest.raises(InputError, match="^annotation 0: category 5 out of range"):
             self.encode(ObjectAnnotation(bbox=(0, 0, math.nan, 4), category=5))
